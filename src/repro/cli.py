@@ -74,6 +74,25 @@ from .obs.profile import SORT_KEYS, hot_branches, profile_experiment
 from .workloads import SUITE, generate_source, get_profile
 
 
+class UsageError(Exception):
+    """A user error: :func:`main` prints it as one line on stderr and
+    exits 2 instead of showing a traceback."""
+
+
+#: Exit status for a :class:`UsageError` (argparse's status for bad usage).
+USAGE_EXIT_STATUS = 2
+
+
+def _read_json_file(path: str, what: str):
+    try:
+        with open(path) as handle:
+            return json.load(handle)
+    except OSError as error:
+        raise UsageError(f"cannot read {what} {path}: {error.strerror}")
+    except ValueError as error:
+        raise UsageError(f"{what} {path} is not valid JSON: {error}")
+
+
 #: Environment fallback for ``--segment-instructions`` (CI shard jobs
 #: set it once instead of threading the flag through every command).
 SEGMENT_ENV = "REPRO_SEGMENT_INSTRUCTIONS"
@@ -134,6 +153,11 @@ def _scale_from_args(
     workloads = (
         tuple(args.workloads.split(",")) if args.workloads else preset.workloads
     )
+    unknown = [name for name in workloads if name not in SUITE]
+    if unknown:
+        raise UsageError(
+            f"unknown workload {unknown[0]!r}; available: {', '.join(SUITE)}"
+        )
     # flag beats environment beats preset; 0 explicitly disables
     if segment_flag is not None:
         segment_instructions = segment_flag if segment_flag > 0 else None
@@ -307,7 +331,11 @@ def _command_list(args: argparse.Namespace) -> int:
 
 def _resume_plan(args: argparse.Namespace):
     path = getattr(args, "resume", None)
-    return plan_resume(path) if path else None
+    if not path:
+        return None
+    if not os.path.isfile(path):
+        raise UsageError(f"--resume: no such journal: {path}")
+    return plan_resume(path)
 
 
 #: Exit status for an interrupted run (128 + SIGINT, shell convention).
@@ -505,10 +533,8 @@ def _bench_branches_per_second(
 def _bench_compare(args: argparse.Namespace) -> int:
     """Compare two bench snapshots; gate speedup/regression for CI."""
     baseline_path, candidate_path = args.compare
-    with open(baseline_path) as handle:
-        baseline = json.load(handle)
-    with open(candidate_path) as handle:
-        candidate = json.load(handle)
+    baseline = _read_json_file(baseline_path, "bench snapshot")
+    candidate = _read_json_file(candidate_path, "bench snapshot")
     metric = args.metric
     section = BENCH_METRIC_SECTIONS[metric]
     if metric == "pipeline":
@@ -726,6 +752,8 @@ def _command_journal(args: argparse.Namespace) -> int:
     """Validate journal files against the event schema."""
     status = 0
     for path in args.paths:
+        if not os.path.isfile(path):
+            raise UsageError(f"no such journal: {path}")
         print(obs_journal.summarize(path))
         __, errors = obs_journal.validate_journal(path)
         if errors:
@@ -1246,7 +1274,11 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except UsageError as error:
+        print(f"repro: error: {error}", file=sys.stderr)
+        return USAGE_EXIT_STATUS
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -47,10 +47,6 @@ from .spec import FaultSpec, parse_specs
 
 FAULTS_ENV = "REPRO_FAULTS"
 STATE_ENV = "REPRO_FAULTS_STATE"
-#: Legacy hook (PR 2): comma-separated experiment ids whose workers
-#: crash.  Subsumed by ``REPRO_FAULTS=crash:experiment=<id>`` but still
-#: honoured.
-LEGACY_CRASH_ENV = "REPRO_CRASH_EXPERIMENTS"
 
 #: Bytes written over a cache entry by a fired ``corrupt`` fault; not a
 #: valid pickle, so the next load takes the corruption path.
@@ -237,15 +233,8 @@ _ACTIVE: Optional[FaultRegistry] = None
 
 
 def specs_from_env() -> List[FaultSpec]:
-    """Parse ``REPRO_FAULTS`` plus the legacy crash hook."""
-    specs = parse_specs(os.environ.get(FAULTS_ENV, ""))
-    legacy = os.environ.get(LEGACY_CRASH_ENV, "")
-    for experiment_id in (part.strip() for part in legacy.split(",")):
-        if experiment_id:
-            specs.append(
-                FaultSpec(kind="crash", index=len(specs), experiment=experiment_id)
-            )
-    return specs
+    """Parse ``REPRO_FAULTS``."""
+    return parse_specs(os.environ.get(FAULTS_ENV, ""))
 
 
 def active_faults() -> FaultRegistry:
@@ -266,10 +255,7 @@ def reset_active_faults() -> None:
 
 def faults_configured() -> bool:
     """Is any fault spec present in the environment?"""
-    return bool(
-        os.environ.get(FAULTS_ENV, "").strip()
-        or os.environ.get(LEGACY_CRASH_ENV, "").strip()
-    )
+    return bool(os.environ.get(FAULTS_ENV, "").strip())
 
 
 def ensure_state_dir() -> Optional[str]:

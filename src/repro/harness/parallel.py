@@ -46,8 +46,7 @@ every way a long sweep on real hardware fails:
 Every finished experiment is checkpointed through
 :mod:`repro.harness.checkpoint` as it completes, which is what
 ``repro run --resume`` replays.  Fault injection for all of the above
-lives in :mod:`repro.faults` (``REPRO_FAULTS``); the legacy
-``REPRO_CRASH_EXPERIMENTS`` hook is subsumed by it but still honoured.
+lives in :mod:`repro.faults` (``REPRO_FAULTS``).
 
 Workers ship back per-task deltas of the artifact-cache statistics and
 the metrics registry (:mod:`repro.obs.registry`); the parent folds both
@@ -89,16 +88,17 @@ from .experiments import (
 )
 from .shard import segment_count, warm_segment
 from .spec import SPECS, ArtifactNode, measurement_plan, topological_levels
-from .speculation import eager_cell, gating_cell, inversion_cell
+from .speculation import (
+    SPECULATION_PREDICTOR,
+    eager_cell,
+    gating_cell,
+    inversion_cell,
+)
 
 Journal = Optional[object]  # RunJournal | NullJournal; kwarg convenience
 
 #: ``measurement_plan`` output: per-predictor estimator-family unions.
 MeasurementPlan = Tuple[Tuple[str, Tuple[str, ...]], ...]
-
-#: Legacy fault-injection hook, now an alias into :mod:`repro.faults`:
-#: a comma-separated list of experiment ids whose workers crash.
-CRASH_ENV = faults.LEGACY_CRASH_ENV
 
 # ----------------------------------------------------------------------
 # supervisor knobs
@@ -241,12 +241,58 @@ def plan_artifact_nodes(
             nodes[key] = ArtifactNode(key=key, deps=deps)
         return key
 
+    uses_decoded = backend_uses_decoded(scale.backend)
+    chain = segment_count(scale.pipeline_instructions, scale.segment_instructions)
+
+    def base_deps(workload: str) -> Tuple:
+        # pipeline-backed artifacts read the shared pre-decoded program
+        # (fast path); the worker no-ops when the fast path is
+        # disabled, and backends without a decoded engine (ooo) skip
+        # the decode node entirely
+        trace = add("trace", (workload, scale.iterations))
+        if not uses_decoded:
+            return (trace,)
+        return (trace, add("program-decoded", (workload, scale.iterations)))
+
+    def pipeline_node(workload: str, predictor: str) -> Tuple[str, Tuple]:
+        deps = base_deps(workload)
+        previous: Tuple = ()
+        # segmented cell: a chain of dependent segment nodes (each
+        # resumes the previous snapshot), then the final run reading
+        # the last snapshot; independent cells parallelise, chains don't
+        for index in range(chain):
+            segment = add(
+                "pipeline-segment",
+                (
+                    workload,
+                    predictor,
+                    scale.iterations,
+                    scale.pipeline_instructions,
+                    scale.segment_instructions,
+                    index,
+                    scale.backend,
+                ),
+                deps=previous or deps,
+            )
+            previous = (segment,)
+        return add(
+            "pipeline",
+            (
+                workload,
+                predictor,
+                scale.iterations,
+                scale.pipeline_instructions,
+                scale.segment_instructions,
+                scale.backend,
+            ),
+            deps=deps + previous,
+        )
+
     for experiment_id in selected:
         spec = SPECS.get(experiment_id)
         if spec is None:
             continue
         for dep in spec.deps:
-            uses_decoded = backend_uses_decoded(scale.backend)
             for workload in scale.workloads:
                 trace = add("trace", (workload, scale.iterations))
                 if dep.kind == "trace":
@@ -260,67 +306,7 @@ def plan_artifact_nodes(
                 elif dep.kind == "program-decoded":
                     add("program-decoded", (workload, scale.iterations))
                 elif dep.kind == "pipeline":
-                    # pipeline-backed artifacts read the shared
-                    # pre-decoded program (fast path); the worker
-                    # no-ops when the fast path is disabled, and
-                    # backends without a decoded engine (ooo) skip the
-                    # decode node entirely
-                    base_deps = (trace,)
-                    if uses_decoded:
-                        decoded = add(
-                            "program-decoded", (workload, scale.iterations)
-                        )
-                        base_deps = (trace, decoded)
-                    chain = segment_count(
-                        scale.pipeline_instructions,
-                        scale.segment_instructions,
-                    )
-                    if chain:
-                        # segmented cell: a chain of dependent segment
-                        # nodes (each resumes the previous snapshot),
-                        # then the final run reading the last snapshot;
-                        # independent cells parallelise, chains don't
-                        previous = base_deps
-                        for index in range(chain):
-                            segment = add(
-                                "pipeline-segment",
-                                (
-                                    workload,
-                                    dep.predictor,
-                                    scale.iterations,
-                                    scale.pipeline_instructions,
-                                    scale.segment_instructions,
-                                    index,
-                                    scale.backend,
-                                ),
-                                deps=previous,
-                            )
-                            previous = (segment,)
-                        add(
-                            "pipeline",
-                            (
-                                workload,
-                                dep.predictor,
-                                scale.iterations,
-                                scale.pipeline_instructions,
-                                scale.segment_instructions,
-                                scale.backend,
-                            ),
-                            deps=base_deps + previous,
-                        )
-                    else:
-                        add(
-                            "pipeline",
-                            (
-                                workload,
-                                dep.predictor,
-                                scale.iterations,
-                                scale.pipeline_instructions,
-                                scale.segment_instructions,
-                                scale.backend,
-                            ),
-                            deps=base_deps,
-                        )
+                    pipeline_node(workload, dep.predictor)
                 elif dep.kind == "measurement":
                     families = families_by_predictor.get(
                         dep.predictor, tuple(sorted(set(dep.families)))
@@ -337,42 +323,27 @@ def plan_artifact_nodes(
                         (dep.predictor, workload, scale.iterations, families),
                         deps=(trace, columnar),
                     )
-                elif dep.kind == "gating":
-                    base_deps = (trace,)
-                    if uses_decoded:
-                        decoded = add(
-                            "program-decoded", (workload, scale.iterations)
-                        )
-                        base_deps = (trace, decoded)
-                    add(
-                        "gating",
-                        (
-                            workload,
-                            dep.estimator,
-                            dep.threshold,
-                            scale.iterations,
-                            scale.pipeline_instructions,
-                            scale.backend,
-                        ),
-                        deps=base_deps,
+                elif dep.kind in ("gating", "eager"):
+                    # speculation cells read their ungated baseline from
+                    # the gshare pipeline artifact: build it (segment
+                    # chain included) before any cell that reads it
+                    baseline = pipeline_node(workload, SPECULATION_PREDICTOR)
+                    knobs = (
+                        (dep.estimator, dep.threshold)
+                        if dep.kind == "gating"
+                        else (dep.estimator,)
                     )
-                elif dep.kind == "eager":
-                    base_deps = (trace,)
-                    if uses_decoded:
-                        decoded = add(
-                            "program-decoded", (workload, scale.iterations)
-                        )
-                        base_deps = (trace, decoded)
                     add(
-                        "eager",
-                        (
-                            workload,
-                            dep.estimator,
+                        dep.kind,
+                        (workload,)
+                        + knobs
+                        + (
                             scale.iterations,
                             scale.pipeline_instructions,
                             scale.backend,
+                            scale.segment_instructions,
                         ),
-                        deps=base_deps,
+                        deps=base_deps(workload) + (baseline,),
                     )
                 elif dep.kind == "inversion":
                     add(

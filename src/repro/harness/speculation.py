@@ -5,12 +5,12 @@ Three experiments turn the estimator-quality tables into end-to-end
 speculation-control results on the cycle-level pipeline:
 
 * ``speculation-gating`` -- Manne-style pipeline gating
-  (:func:`repro.speculation.compare_gating`): fetch stalls while too
+  (:class:`repro.speculation.GatedPipelineSimulator`): fetch stalls while too
   many unresolved low-confidence branches are in flight.  The figures
   of merit are the paper's: wrong-path (squashed) instructions saved
   vs. IPC lost, swept over gating thresholds and estimator choices.
 * ``speculation-eager`` -- selective dual-path execution
-  (:func:`repro.speculation.compare_eager_execution`): forks on
+  (:class:`repro.speculation.EagerPipelineSimulator`): forks on
   low-confidence branches convert covered mispredictions into a
   one-cycle path switch at the price of fetch dilution.
 * ``speculation-inversion`` -- the negative result
@@ -22,7 +22,11 @@ Each (workload, estimator, threshold) cell is memoised in process and
 persisted in the artifact cache as a compact picklable dataclass, so
 the parallel scheduler's warm waves (:mod:`repro.harness.parallel`)
 fan the pipeline simulations out exactly like the figure experiments,
-and warm reruns are cache reads.  Registry metrics
+and warm reruns are cache reads.  A cell simulates only its gated or
+eager run: the ungated baseline is the bare gshare ``pipeline``
+artifact tab1 and fig6/fig8 already compute (an attached estimator
+never changes timing), which both experiments declare as a dependency
+so the warm waves build it once, before the cells.  Registry metrics
 (``speculation.gated_cycles``, ``speculation.wrong_path_instructions``,
 ``speculation.wrong_path_saved``, ``speculation.recovery_cycles``,
 ``speculation.eager_*``, ``speculation.inversion_flips``) are counted
@@ -46,6 +50,7 @@ from ..engine import get_cache, profile_fingerprint, workload_program
 from ..obs.registry import REGISTRY
 from ..pipeline import (
     PipelineConfig,
+    PipelineStats,
     backend_uses_decoded,
     decoded_run,
     normalize_backend,
@@ -53,17 +58,17 @@ from ..pipeline import (
 )
 from ..predictors import make_predictor
 from ..speculation import (
-    compare_eager_execution,
-    compare_gating,
     evaluate_inversion,
+    make_eager_simulator,
+    make_gated_simulator,
 )
-from .experiments import FULL, ExperimentResult, Scale, _trace
+from .experiments import FULL, ExperimentResult, Scale, _pipeline_result, _trace
 from .spec import SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct1, spct1
 
 #: Estimator configurations the speculation battery sweeps.  The
-#: factories take the (fresh) predictor the comparison runs against, so
-#: each gated/ungated/eager run gets independent estimator state.
+#: factories take the (fresh) predictor the gated or eager run uses, so
+#: each run gets independent estimator state.
 SPECULATION_ESTIMATORS: Dict[str, Callable] = {
     "jrs": lambda predictor: JRSEstimator(threshold=15, enhanced=True),
     "distance": lambda predictor: MispredictionDistanceEstimator(4),
@@ -265,6 +270,34 @@ def _estimator_factory(name: str) -> Callable:
         ) from None
 
 
+def _decoded(workload: str, iterations: Optional[int], backend: str):
+    """The shared pre-decoded program when ``backend`` runs the fast path."""
+    if backend_uses_decoded(backend) and pipeline_fast_enabled():
+        return decoded_run(workload, iterations)
+    return None
+
+
+def _baseline_stats(
+    workload: str,
+    iterations: Optional[int],
+    max_instructions: int,
+    segment_instructions: Optional[int],
+    backend: str,
+) -> PipelineStats:
+    """Stats of the ungated, single-path run every speculation cell is
+    measured against: the bare gshare ``pipeline`` artifact that tab1
+    and fig6/fig8 already read.  The call matches theirs argument for
+    argument, so a serial run hits the in-process memo."""
+    return _pipeline_result(
+        workload,
+        SPECULATION_PREDICTOR,
+        iterations,
+        max_instructions,
+        segment_instructions=segment_instructions,
+        backend=backend,
+    ).stats
+
+
 def _compute_gating_cell(
     workload: str,
     estimator_name: str,
@@ -272,24 +305,22 @@ def _compute_gating_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
+    segment_instructions: Optional[int] = None,
 ) -> GatingCell:
     config = PipelineConfig()
-    decoded = (
-        decoded_run(workload, iterations)
-        if backend_uses_decoded(backend) and pipeline_fast_enabled()
-        else None
-    )
-    comparison = compare_gating(
+    simulator = make_gated_simulator(
         workload_program(workload, iterations),
         _predictor_factory,
         _estimator_factory(estimator_name),
         gate_threshold=threshold,
         config=config,
-        max_instructions=max_instructions,
-        decoded=decoded,
+        decoded=_decoded(workload, iterations, backend),
         backend=backend,
     )
-    baseline, gated = comparison.baseline.stats, comparison.gated.stats
+    gated = simulator.run(max_instructions=max_instructions).stats
+    baseline = _baseline_stats(
+        workload, iterations, max_instructions, segment_instructions, backend
+    )
     cell = GatingCell(
         workload=workload,
         estimator=estimator_name,
@@ -301,7 +332,7 @@ def _compute_gating_cell(
         gated_committed=gated.committed_instructions,
         gated_squashed=gated.squashed_instructions,
         gated_mispredictions=gated.committed_mispredictions,
-        fetch_gated_cycles=comparison.gated_cycles,
+        fetch_gated_cycles=simulator.gated_cycles,
         recovery_cycles=gated.committed_mispredictions
         * (1 + config.mispredict_penalty),
     )
@@ -320,7 +351,12 @@ def gating_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
+    segment_instructions: Optional[int] = None,
 ) -> GatingCell:
+    """One gating cell.  ``segment_instructions`` only routes the
+    baseline read to the same ``pipeline`` artifact (and memo entry)
+    the figure experiments use; like theirs, the cell's cache key
+    leaves it out, because segmentation cannot change a result."""
     backend = normalize_backend(backend)
     return get_cache().cached(
         "spec-gating",
@@ -331,6 +367,7 @@ def gating_cell(
             iterations,
             max_instructions,
             backend,
+            segment_instructions,
         ),
         workload=workload,
         estimator=estimator_name,
@@ -350,31 +387,30 @@ def _compute_eager_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
+    segment_instructions: Optional[int] = None,
 ) -> EagerCell:
-    decoded = (
-        decoded_run(workload, iterations)
-        if backend_uses_decoded(backend) and pipeline_fast_enabled()
-        else None
-    )
-    comparison = compare_eager_execution(
+    simulator = make_eager_simulator(
         workload_program(workload, iterations),
         _predictor_factory,
         _estimator_factory(estimator_name),
         config=PipelineConfig(),
-        max_instructions=max_instructions,
-        decoded=decoded,
+        decoded=_decoded(workload, iterations, backend),
         backend=backend,
+    )
+    eager = simulator.run(max_instructions=max_instructions).stats
+    baseline = _baseline_stats(
+        workload, iterations, max_instructions, segment_instructions, backend
     )
     cell = EagerCell(
         workload=workload,
         estimator=estimator_name,
-        baseline_cycles=comparison.baseline.stats.cycles,
-        baseline_committed=comparison.baseline.stats.committed_instructions,
-        eager_cycles=comparison.eager.stats.cycles,
-        eager_committed=comparison.eager.stats.committed_instructions,
-        forks=comparison.forks,
-        covered_mispredictions=comparison.covered_mispredictions,
-        wasted_slots=comparison.wasted_slots,
+        baseline_cycles=baseline.cycles,
+        baseline_committed=baseline.committed_instructions,
+        eager_cycles=eager.cycles,
+        eager_committed=eager.committed_instructions,
+        forks=simulator.eager_forks,
+        covered_mispredictions=simulator.eager_covered,
+        wasted_slots=simulator.eager_wasted_slots,
     )
     REGISTRY.count("speculation.eager_forks", cell.forks)
     REGISTRY.count("speculation.eager_covered", cell.covered_mispredictions)
@@ -389,12 +425,20 @@ def eager_cell(
     iterations: Optional[int],
     max_instructions: int,
     backend: str = "inorder",
+    segment_instructions: Optional[int] = None,
 ) -> EagerCell:
+    """One eager cell (``segment_instructions`` as for
+    :func:`gating_cell`)."""
     backend = normalize_backend(backend)
     return get_cache().cached(
         "spec-eager",
         lambda: _compute_eager_cell(
-            workload, estimator_name, iterations, max_instructions, backend
+            workload,
+            estimator_name,
+            iterations,
+            max_instructions,
+            backend,
+            segment_instructions,
         ),
         workload=workload,
         estimator=estimator_name,
@@ -487,6 +531,7 @@ def experiment_speculation_gating(scale: Scale = FULL) -> ExperimentResult:
                     scale.iterations,
                     scale.pipeline_instructions,
                     scale.backend,
+                    scale.segment_instructions,
                 )
                 cells.append(cell)
                 table.add_row(
@@ -539,6 +584,7 @@ def experiment_speculation_eager(scale: Scale = FULL) -> ExperimentResult:
                 scale.iterations,
                 scale.pipeline_instructions,
                 scale.backend,
+                scale.segment_instructions,
             )
             cells.append(cell)
             table.add_row(
@@ -626,8 +672,11 @@ SPECS.register(
         section="speculation",
         order=150,
         paper_ref="Section 2.2 (Manne et al.)",
-        produces=("trace", "gating"),
-        deps=(ArtifactDep(kind="trace"),)
+        produces=("trace", "pipeline", "gating"),
+        deps=(
+            ArtifactDep(kind="trace"),
+            ArtifactDep(kind="pipeline", predictor=SPECULATION_PREDICTOR),
+        )
         + tuple(
             ArtifactDep(kind="gating", estimator=estimator, threshold=threshold)
             for estimator in SPECULATION_ESTIMATORS
@@ -643,8 +692,11 @@ SPECS.register(
         section="speculation",
         order=160,
         paper_ref="Section 2.2",
-        produces=("trace", "eager"),
-        deps=(ArtifactDep(kind="trace"),)
+        produces=("trace", "pipeline", "eager"),
+        deps=(
+            ArtifactDep(kind="trace"),
+            ArtifactDep(kind="pipeline", predictor=SPECULATION_PREDICTOR),
+        )
         + tuple(
             ArtifactDep(kind="eager", estimator=estimator)
             for estimator in SPECULATION_ESTIMATORS

@@ -58,6 +58,7 @@ swaps an R10K-style out-of-order window in behind the same front end.
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
@@ -285,8 +286,8 @@ class PipelineSimulator:
         boundary by up to ``commit_width - 1`` instructions; only the
         hard ``max_instructions`` budget truncates exactly.
         """
-        if self._decoded is not None and type(self) is PipelineSimulator:
-            # no subclass hooks to honour: run the fused fast loop
+        if self._decoded is not None and self._fused():
+            # every hook this class uses is inlined: run the fused loop
             return self._run_fast(max_cycles, max_instructions, stop_instructions)
         self._max_instructions = max_instructions
         try:
@@ -305,6 +306,19 @@ class PipelineSimulator:
         finally:
             self._max_instructions = None
         return self.result()
+
+    def _fused(self) -> bool:
+        """May ``run`` take the fused :meth:`_run_fast` loop?
+
+        Only a class whose every hook the loop inlines answers yes, and
+        only for its own exact type: a subclass that overrides a stage
+        hook must take the per-cycle path."""
+        return type(self) is PipelineSimulator
+
+    def _fetch_gate(self) -> Optional[Tuple[str, int]]:
+        """Hook: ``(estimator name, threshold)`` of the fetch gate the
+        fused loop applies, or ``None`` for an ungated run."""
+        return None
 
     def _run_fast(
         self,
@@ -328,9 +342,17 @@ class PipelineSimulator:
         misprediction-distance counters -- lives in locals and is
         written back in the ``finally`` block; that is only sound
         because *every* mutator of that state is inlined here, which is
-        why this loop is engaged only for the exact base class
-        (subclasses override the stage hooks and take the per-cycle
-        path).
+        why ``run`` engages this loop only for classes whose
+        :meth:`_fused` says so (subclasses that override stage hooks
+        take the per-cycle path).
+
+        A fetch gate (:meth:`_fetch_gate`, pipeline gating) is applied
+        exactly where ``GatedPipelineSimulator._fetch_stage`` applies
+        it: after commit, before any stall or fault check.  The loop
+        keeps a run-local count of in-flight branches the gate
+        estimator tagged low confidence (+1 at fetch, -1 at
+        commit-resolve, 0 on squash) instead of rescanning the window
+        every cycle.
 
         Inside this loop, in-flight entries are plain lists (a Python
         class instantiation costs ~4x a list literal and entries are
@@ -373,6 +395,23 @@ class PipelineSimulator:
                 entry.ready_cycle,
                 entry.record_index,
             ]
+        # fetch gate: position of the gate estimator in every branch
+        # entry's assessment list, or -1 when ungated (the count then
+        # stays 0, below any threshold)
+        gate = self._fetch_gate()
+        if gate is None:
+            gate_position = -1
+            gate_threshold = sys.maxsize
+            gated_cycles = 0
+        else:
+            gate_on, gate_threshold = gate
+            gate_position = list(self.estimators).index(gate_on)
+            gated_cycles = self.gated_cycles
+        low_confidence = 0
+        if gate_position >= 0:
+            for entry in queue:
+                if entry[3] and not entry[6][gate_position][2].high_confidence:
+                    low_confidence += 1
         records = self.records
         stats = self.stats
         machine = self.machine
@@ -609,6 +648,12 @@ class PipelineSimulator:
                                 quadrants_committed[name].record(
                                     correct, assessment.high_confidence
                                 )
+                            if (
+                                gate_position >= 0
+                                and not assessments[gate_position][2]
+                                .high_confidence
+                            ):
+                                low_confidence -= 1
                         if entry[8]:  # mispredicted
                             committed_mispredictions += 1
                             perceived = 0  # detection event
@@ -623,6 +668,7 @@ class PipelineSimulator:
                                     rec_committed[squashed_index] = False
                             inflight.clear()
                             inflight_count = 0
+                            low_confidence = 0
                             machine.trim_journal()
                             unresolved = 0
                             fetch_faulted = False
@@ -630,8 +676,11 @@ class PipelineSimulator:
                             if stall > fetch_stalled_until:
                                 fetch_stalled_until = stall
                             break  # redirect consumed the commit group
+                # ---- fetch gate (mirrors GatedPipelineSimulator) ----
+                if not program_done and low_confidence >= gate_threshold:
+                    gated_cycles += 1
                 # ---- fetch stage (mirrors _fetch_stage_fast) ----
-                if (
+                elif (
                     not program_done
                     and cycle >= fetch_stalled_until
                     and not fetch_faulted
@@ -789,6 +838,12 @@ class PipelineSimulator:
                                     assessment_flags[name] = (
                                         assessment.high_confidence
                                     )
+                                if (
+                                    gate_position >= 0
+                                    and not entry_assessments[gate_position][2]
+                                    .high_confidence
+                                ):
+                                    low_confidence += 1
                             else:
                                 assessment_flags = None
                                 entry_assessments = None
@@ -924,6 +979,8 @@ class PipelineSimulator:
             self._fetch_faulted = fetch_faulted
             self._unresolved_mispredictions = unresolved
             self._program_done = program_done
+            if gate is not None:
+                self.gated_cycles = gated_cycles
             machine.instructions_retired += retired
             icache.hits = icache_hits
             icache.misses = icache_misses

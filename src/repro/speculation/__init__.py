@@ -5,6 +5,7 @@ from .dualpath import (
     EagerOutOfOrderSimulator,
     EagerPipelineSimulator,
     compare_eager_execution,
+    make_eager_simulator,
 )
 from .eager import EagerOutcome, evaluate_eager_execution
 from .gating import (
@@ -13,6 +14,7 @@ from .gating import (
     GatingComparison,
     compare_gating,
     count_low_confidence_inflight,
+    make_gated_simulator,
 )
 from .inversion import InversionResult, InvertingPredictor, evaluate_inversion
 from .smt import POLICIES, SMTResult, SMTSimulator, compare_policies
@@ -22,6 +24,7 @@ __all__ = [
     "EagerOutOfOrderSimulator",
     "EagerPipelineSimulator",
     "compare_eager_execution",
+    "make_eager_simulator",
     "EagerOutcome",
     "evaluate_eager_execution",
     "GatedOutOfOrderSimulator",
@@ -29,6 +32,7 @@ __all__ = [
     "GatingComparison",
     "compare_gating",
     "count_low_confidence_inflight",
+    "make_gated_simulator",
     "InversionResult",
     "InvertingPredictor",
     "evaluate_inversion",

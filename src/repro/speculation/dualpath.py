@@ -232,6 +232,34 @@ class EagerComparison:
         return self.covered_mispredictions / total if total else 0.0
 
 
+def make_eager_simulator(
+    program: Program,
+    predictor_factory: Callable[[], BranchPredictor],
+    estimator_factory: Callable[[BranchPredictor], ConfidenceEstimator],
+    config: Optional[PipelineConfig] = None,
+    fork_switch_penalty: int = 1,
+    decoded: Optional[DecodedProgram] = None,
+    backend: Optional[str] = None,
+) -> EagerPipelineSimulator:
+    """A dual-path simulator for ``backend`` with a fresh predictor and
+    the fork estimator attached as ``"fork"``.
+
+    The one construction path of every eager run:
+    :func:`compare_eager_execution` and the harness's
+    ``speculation-eager`` cells both build here.
+    """
+    predictor = predictor_factory()
+    return EAGER_SIMULATORS[normalize_backend(backend)](
+        program,
+        predictor,
+        config=config,
+        estimators={"fork": estimator_factory(predictor)},
+        fork_on="fork",
+        fork_switch_penalty=fork_switch_penalty,
+        decoded=decoded,
+    )
+
+
 def compare_eager_execution(
     program: Program,
     predictor_factory: Callable[[], BranchPredictor],
@@ -244,29 +272,26 @@ def compare_eager_execution(
 ) -> EagerComparison:
     """Run the same workload single-path and dual-path and compare.
 
-    ``decoded`` optionally shares one pre-decoded program between runs.
-    ``backend`` selects the pipeline backend for both runs.
+    The single-path baseline runs bare (no estimator attached; nothing
+    reads its assessments).  ``decoded`` optionally shares one
+    pre-decoded program between runs.  ``backend`` selects the pipeline
+    backend for both runs.
     """
-    backend = normalize_backend(backend)
-    baseline_predictor = predictor_factory()
     baseline = create_simulator(
         program,
-        baseline_predictor,
+        predictor_factory(),
         backend=backend,
         config=config,
-        estimators={"fork": estimator_factory(baseline_predictor)},
         decoded=decoded,
     ).run(max_instructions=max_instructions)
-
-    eager_predictor = predictor_factory()
-    eager_simulator = EAGER_SIMULATORS[backend](
+    eager_simulator = make_eager_simulator(
         program,
-        eager_predictor,
+        predictor_factory,
+        estimator_factory,
         config=config,
-        estimators={"fork": estimator_factory(eager_predictor)},
-        fork_on="fork",
         fork_switch_penalty=fork_switch_penalty,
         decoded=decoded,
+        backend=backend,
     )
     eager = eager_simulator.run(max_instructions=max_instructions)
     return EagerComparison(

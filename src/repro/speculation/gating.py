@@ -85,6 +85,13 @@ class GatedPipelineSimulator(PipelineSimulator):
         self.gate_threshold = gate_threshold
         self.gated_cycles = 0
 
+    def _fused(self) -> bool:
+        # the fused loop applies the gate itself (see _fetch_gate)
+        return type(self) is GatedPipelineSimulator
+
+    def _fetch_gate(self):
+        return self.gate_on, self.gate_threshold
+
     def _fetch_stage(self) -> None:
         if (
             count_low_confidence_inflight(self, self.gate_on)
@@ -151,6 +158,33 @@ class GatingComparison:
         return self.gated.stats.cycles / base - 1.0
 
 
+def make_gated_simulator(
+    program: Program,
+    predictor_factory: Callable[[], BranchPredictor],
+    estimator_factory: Callable[[BranchPredictor], ConfidenceEstimator],
+    gate_threshold: int = 1,
+    config: Optional[PipelineConfig] = None,
+    decoded: Optional[DecodedProgram] = None,
+    backend: Optional[str] = None,
+) -> GatedPipelineSimulator:
+    """A gated simulator for ``backend`` with a fresh predictor and the
+    gate estimator attached as ``"gate"``.
+
+    The one construction path of every gated run: :func:`compare_gating`
+    and the harness's ``speculation-gating`` cells both build here.
+    """
+    predictor = predictor_factory()
+    return GATED_SIMULATORS[normalize_backend(backend)](
+        program,
+        predictor,
+        config=config,
+        estimators={"gate": estimator_factory(predictor)},
+        gate_on="gate",
+        gate_threshold=gate_threshold,
+        decoded=decoded,
+    )
+
+
 def compare_gating(
     program: Program,
     predictor_factory: Callable[[], BranchPredictor],
@@ -164,30 +198,27 @@ def compare_gating(
     """Run the same workload gated and ungated and compare.
 
     Factories are used (rather than instances) because the two runs
-    need independent predictor/estimator state.  ``decoded`` optionally
-    shares one pre-decoded program between both runs.  ``backend``
-    selects the pipeline backend for *both* runs (default in-order).
+    need independent predictor state.  The ungated baseline runs bare:
+    an attached estimator never changes a run's timing, and nothing
+    reads the baseline's assessments.  ``decoded`` optionally shares one
+    pre-decoded program between both runs.  ``backend`` selects the
+    pipeline backend for *both* runs (default in-order).
     """
-    backend = normalize_backend(backend)
-    baseline_predictor = predictor_factory()
     baseline = create_simulator(
         program,
-        baseline_predictor,
+        predictor_factory(),
         backend=backend,
         config=config,
-        estimators={"gate": estimator_factory(baseline_predictor)},
         decoded=decoded,
     ).run(max_instructions=max_instructions)
-
-    gated_predictor = predictor_factory()
-    gated_simulator = GATED_SIMULATORS[backend](
+    gated_simulator = make_gated_simulator(
         program,
-        gated_predictor,
-        config=config,
-        estimators={"gate": estimator_factory(gated_predictor)},
-        gate_on="gate",
+        predictor_factory,
+        estimator_factory,
         gate_threshold=gate_threshold,
+        config=config,
         decoded=decoded,
+        backend=backend,
     )
     gated = gated_simulator.run(max_instructions=max_instructions)
     return GatingComparison(

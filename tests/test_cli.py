@@ -255,3 +255,39 @@ class TestCacheVerifyCommand:
     def test_info_reports_corrupt_stat(self, capsys):
         assert main(["cache", "info"]) == 0
         assert "corrupt" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """User errors end in one stderr line and exit 2, not a traceback."""
+
+    def _error_line(self, capsys):
+        captured = capsys.readouterr()
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("repro: error: ")
+        assert "Traceback" not in captured.err
+        return lines[0]
+
+    def test_journal_missing_file(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        assert main(["journal", missing]) == 2
+        assert missing in self._error_line(capsys)
+
+    def test_resume_missing_journal(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.jsonl")
+        code = main(["run", "tab3", "--scale", "smoke", "--resume", missing])
+        assert code == 2
+        assert missing in self._error_line(capsys)
+
+    def test_bench_compare_missing_snapshot(self, tmp_path, capsys):
+        present = tmp_path / "present.json"
+        present.write_text("{}")
+        missing = str(tmp_path / "missing.json")
+        assert main(["bench", "--compare", missing, str(present)]) == 2
+        assert missing in self._error_line(capsys)
+
+    def test_unknown_workload(self, capsys):
+        code = main(["run", "tab3", "--scale", "smoke", "--workloads", "nosuch"])
+        assert code == 2
+        line = self._error_line(capsys)
+        assert "'nosuch'" in line and "compress" in line

@@ -9,7 +9,6 @@ import pytest
 from repro.faults import (
     CORRUPTION_BYTES,
     FAULTS_ENV,
-    LEGACY_CRASH_ENV,
     STATE_ENV,
     FaultRegistry,
     FaultSpecError,
@@ -29,7 +28,6 @@ def clean_fault_env(monkeypatch):
     """No ambient fault configuration leaks into (or out of) a test."""
     monkeypatch.delenv(FAULTS_ENV, raising=False)
     monkeypatch.delenv(STATE_ENV, raising=False)
-    monkeypatch.delenv(LEGACY_CRASH_ENV, raising=False)
     reset_active_faults()
     yield
     reset_active_faults()
@@ -347,15 +345,6 @@ class TestEnvironmentWiring:
         monkeypatch.setenv(FAULTS_ENV, "flaky:experiment=tab3,slow:seconds=0.1")
         specs = specs_from_env()
         assert [s.kind for s in specs] == ["flaky", "slow"]
-
-    def test_legacy_crash_env_maps_to_crash_specs(self, monkeypatch):
-        monkeypatch.setenv(LEGACY_CRASH_ENV, "tab3, fig6")
-        specs = specs_from_env()
-        assert [(s.kind, s.experiment) for s in specs] == [
-            ("crash", "tab3"),
-            ("crash", "fig6"),
-        ]
-        assert faults_configured()
 
     def test_active_registry_caches_until_reset(self, monkeypatch):
         assert not active_faults()

@@ -14,7 +14,7 @@ from repro.harness import (
     render_report,
     run_all,
 )
-from repro.harness.parallel import CRASH_ENV, default_jobs
+from repro.harness.parallel import default_jobs
 from repro.obs.journal import RunJournal, read_journal
 
 
@@ -123,9 +123,9 @@ class TestPerExperimentFallback:
     SELECTION = ["fig1", "tab3", "fig3"]
 
     def _run_with_crash(self, tmp_path, monkeypatch, crash="tab3"):
-        from repro.faults import STATE_ENV, reset_active_faults
+        from repro.faults import FAULTS_ENV, STATE_ENV, reset_active_faults
 
-        monkeypatch.setenv(CRASH_ENV, crash)
+        monkeypatch.setenv(FAULTS_ENV, f"crash:experiment={crash}")
         monkeypatch.setenv(STATE_ENV, str(tmp_path / "fault-state"))
         reset_active_faults()
         path = tmp_path / "crash.jsonl"
@@ -177,7 +177,9 @@ class TestPerExperimentFallback:
         self, isolated_cache, tmp_path, monkeypatch
     ):
         results, __ = self._run_with_crash(tmp_path, monkeypatch)
-        monkeypatch.delenv(CRASH_ENV, raising=False)
+        from repro.faults import FAULTS_ENV
+
+        monkeypatch.delenv(FAULTS_ENV, raising=False)
         clear_memoised()
         clean = run_all(SMOKE, only=["tab3"], jobs=1)
         assert results["tab3"].to_text() == clean["tab3"].to_text()

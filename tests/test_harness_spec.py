@@ -220,14 +220,16 @@ class TestWarmPlanLegacyEquivalence:
             for predictor in PREDICTORS
             for workload in SMOKE.workloads
         }
+        # speculation cells also carry the segment size, to read their
+        # baseline through the same pipeline call as fig6 (None here)
         assert kinds["gating"] == {
-            (workload, estimator, threshold, iters, instrs, "inorder")
+            (workload, estimator, threshold, iters, instrs, "inorder", None)
             for workload in SMOKE.workloads
             for estimator in SPECULATION_ESTIMATORS
             for threshold in GATE_THRESHOLDS
         }
         assert kinds["eager"] == {
-            (workload, estimator, iters, instrs, "inorder")
+            (workload, estimator, iters, instrs, "inorder", None)
             for workload in SMOKE.workloads
             for estimator in SPECULATION_ESTIMATORS
         }
@@ -249,7 +251,13 @@ class TestWarmPlanLegacyEquivalence:
         # the columnar lowering sits between the trace and everything
         # that replays it
         assert any(node.kind == "trace-columnar" for node in levels[1])
-        assert all(node.kind == "measurement" for node in levels[2])
+        # the last level: what replays the columnar trace, and the
+        # speculation cells that read the gshare pipeline baseline
+        assert {node.kind for node in levels[2]} == {
+            "measurement",
+            "gating",
+            "eager",
+        }
 
     def test_measurement_tasks_carry_the_battery_plan(self):
         kinds = self._heavy_by_kind(list(EXPERIMENTS))

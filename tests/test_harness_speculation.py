@@ -2,6 +2,7 @@
 cell caching, parallel equivalence, report section, journal events and
 the ``repro speculate`` CLI entry point."""
 
+import dataclasses
 import json
 
 import pytest
@@ -21,8 +22,14 @@ from repro.harness import (
     run_all,
     run_experiment,
 )
+from repro.engine import workload_program
+from repro.harness.experiments import _pipeline_result
+from repro.harness.parallel import plan_artifact_nodes
+from repro.harness.speculation import SPECULATION_PREDICTOR
 from repro.obs.journal import RunJournal, read_journal
 from repro.obs.registry import REGISTRY
+from repro.pipeline import PipelineSimulator, create_simulator
+from repro.predictors import make_predictor
 
 #: Small enough for unit tests, big enough to gate/fork at least once.
 TINY = Scale(iterations=40, pipeline_instructions=4000, workloads=("compress",))
@@ -127,6 +134,106 @@ class TestWarmPlan:
     def test_trace_still_warmed(self):
         trace_tasks, __ = plan_warm_tasks(["speculation-inversion"], TINY)
         assert {args[0] for __kind, args in trace_tasks} == set(TINY.workloads)
+
+
+class TestBaselineReuse:
+    """Speculation cells read their ungated baseline from the bare gshare
+    ``pipeline`` artifact instead of simulating it again; that is sound
+    only because an attached estimator never changes a run's timing."""
+
+    @pytest.mark.parametrize("backend", ("inorder", "ooo"))
+    @pytest.mark.parametrize("estimator_name", sorted(SPECULATION_ESTIMATORS))
+    def test_attached_estimator_never_changes_stats(self, backend, estimator_name):
+        program = workload_program("compress", TINY.iterations)
+
+        def run(with_estimator):
+            predictor = make_predictor(SPECULATION_PREDICTOR)
+            estimators = {}
+            if with_estimator:
+                factory = SPECULATION_ESTIMATORS[estimator_name]
+                estimators = {"gate": factory(predictor)}
+            simulator = create_simulator(
+                program, predictor, backend=backend, estimators=estimators
+            )
+            return simulator.run(max_instructions=TINY.pipeline_instructions)
+
+        bare, attached = run(False), run(True)
+        assert dataclasses.asdict(bare.stats) == dataclasses.asdict(attached.stats)
+
+    @pytest.mark.parametrize("backend", ("inorder", "ooo"))
+    def test_cell_baselines_equal_pipeline_artifact(self, isolated_cache, backend):
+        scale = dataclasses.replace(TINY, backend=backend)
+        gating = run_experiment("speculation-gating", scale).data["cells"]
+        eager = run_experiment("speculation-eager", scale).data["cells"]
+        for cell in gating + eager:
+            stats = _pipeline_result(
+                cell.workload,
+                SPECULATION_PREDICTOR,
+                scale.iterations,
+                scale.pipeline_instructions,
+                segment_instructions=scale.segment_instructions,
+                backend=backend,
+            ).stats
+            assert cell.baseline_cycles == stats.cycles
+            assert cell.baseline_committed == stats.committed_instructions
+            if hasattr(cell, "baseline_squashed"):
+                assert cell.baseline_squashed == stats.squashed_instructions
+
+    def test_cells_run_no_baseline_simulation(self, isolated_cache, monkeypatch):
+        # with the baseline artifact memoised, a cell simulates exactly
+        # one run: its own gated (or eager) one
+        _pipeline_result(
+            "compress",
+            SPECULATION_PREDICTOR,
+            TINY.iterations,
+            TINY.pipeline_instructions,
+            segment_instructions=TINY.segment_instructions,
+            backend=TINY.backend,
+        )
+        simulated = []
+        original = PipelineSimulator.run
+
+        def counting_run(self, *args, **kwargs):
+            simulated.append(type(self).__name__)
+            return original(self, *args, **kwargs)
+
+        monkeypatch.setattr(PipelineSimulator, "run", counting_run)
+        run_experiment("speculation-gating", TINY)
+        run_experiment("speculation-eager", TINY)
+        gating_runs = len(SPECULATION_ESTIMATORS) * len(GATE_THRESHOLDS)
+        assert simulated == ["GatedPipelineSimulator"] * gating_runs + [
+            "EagerPipelineSimulator"
+        ] * len(SPECULATION_ESTIMATORS)
+
+    @pytest.mark.parametrize("segment_instructions", (None, 1500))
+    def test_cells_wait_for_the_baseline_node(self, segment_instructions):
+        scale = dataclasses.replace(TINY, segment_instructions=segment_instructions)
+        nodes = {
+            node.key: node
+            for node in plan_artifact_nodes(
+                ["speculation-gating", "speculation-eager"], scale
+            )
+        }
+        baseline = (
+            "pipeline",
+            (
+                "compress",
+                SPECULATION_PREDICTOR,
+                scale.iterations,
+                scale.pipeline_instructions,
+                segment_instructions,
+                scale.backend,
+            ),
+        )
+        # a segmented baseline waits for the end of its segment chain
+        last_segments = [
+            key for key in nodes[baseline].deps if key[0] == "pipeline-segment"
+        ]
+        assert len(last_segments) == (1 if segment_instructions else 0)
+        cells = [key for key in nodes if key[0] in ("gating", "eager")]
+        assert len(cells) == len(SPECULATION_ESTIMATORS) * (len(GATE_THRESHOLDS) + 1)
+        for key in cells:
+            assert baseline in nodes[key].deps
 
 
 class TestParallelEquivalence:

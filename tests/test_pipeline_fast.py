@@ -6,9 +6,9 @@ Three groups of guarantees:
   cycle loop, compact predictor protocol, columnar records) must leave
   *exactly* the state the reference per-instruction engine leaves:
   stats, every branch-record field, architectural machine state, cache
-  hit/miss counters, estimator quadrants -- for the base simulator and
-  for the gating/eager subclasses (which ride the per-cycle fast fetch
-  stage);
+  hit/miss counters, estimator quadrants -- for the base and gated
+  simulators (which take the fused loop) and for the eager subclass
+  (which rides the per-cycle fast fetch stage);
 * **accounting fixes** -- ``max_instructions`` commits exactly N, and a
   congestion window delays exactly one branch (no double charge across
   a fetch group);
@@ -127,6 +127,7 @@ class TestFastSlowIdentity:
             )
             runs.append((simulator, simulator.run(max_instructions=6_000)))
         assert_equivalent(*runs[0], *runs[1])
+        assert runs[0][0].gated_cycles == runs[1][0].gated_cycles > 0
 
     def test_eager_simulator_identical(self):
         program = small_program()

@@ -19,12 +19,16 @@ import dataclasses
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.confidence import JRSEstimator, MispredictionDistanceEstimator
+from repro.confidence import (
+    BoostedEstimator,
+    JRSEstimator,
+    MispredictionDistanceEstimator,
+)
 from repro.engine import trace_branches
 from repro.isa import Machine
 from repro.pipeline import CacheConfig, PipelineConfig, PipelineSimulator
 from repro.predictors import make_predictor
-from repro.speculation import EagerPipelineSimulator
+from repro.speculation import EagerPipelineSimulator, GatedPipelineSimulator
 from repro.workloads.generator import GuardSpec, WorkloadProfile, generate_program
 from repro.workloads.sites import (
     AlternatingSite,
@@ -246,3 +250,55 @@ def test_dualpath_equals_machine_on_random_programs(profile, config):
     assert simulator.machine.regs == golden.regs
     assert simulator.machine.memory == golden.memory
     assert result.stats.committed_instructions == golden.instructions_retired
+
+
+def _gate_estimator(kind):
+    if kind == "jrs":
+        return JRSEstimator(table_size=256, threshold=7)
+    if kind == "distance":
+        return MispredictionDistanceEstimator(3)
+    return BoostedEstimator(MispredictionDistanceEstimator(3), k=2)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    workload_profiles(),
+    pipeline_configs(),
+    st.integers(min_value=1, max_value=3),
+    st.sampled_from(("jrs", "distance", "boosted")),
+    st.sampled_from((None, 7, 60, 500)),
+    st.sampled_from((None, 5, 40, 300)),
+)
+def test_fused_gated_run_equals_per_cycle_gated_run(
+    profile, config, threshold, gate_kind, budget, pause
+):
+    """The fused loop's fetch gate matches ``GatedPipelineSimulator``'s
+    per-cycle ``_fetch_stage`` gate: same stats, same gated cycles, same
+    branch records -- including an early ``max_instructions`` stop and a
+    resume after a soft ``stop_instructions`` pause."""
+    program = generate_program(profile)
+    runs = []
+    for fast in (False, True):
+        predictor = make_predictor("gshare")
+        simulator = GatedPipelineSimulator(
+            program,
+            predictor,
+            config=config,
+            estimators={
+                "other": JRSEstimator(table_size=64, threshold=3),
+                "gate": _gate_estimator(gate_kind),
+            },
+            gate_on="gate",
+            gate_threshold=threshold,
+            fast=fast,
+        )
+        if fast and pause is not None:
+            # pause at a soft boundary, then resume to the same budget
+            simulator.run(max_instructions=budget, stop_instructions=pause)
+        runs.append((simulator, simulator.run(max_instructions=budget)))
+    (slow_sim, slow), (fast_sim, fast) = runs
+    assert dataclasses.asdict(slow.stats) == dataclasses.asdict(fast.stats)
+    assert slow_sim.gated_cycles == fast_sim.gated_cycles
+    assert slow.branch_records == fast.branch_records
+    assert slow_sim.machine.regs == fast_sim.machine.regs
+    assert slow_sim.machine.memory == fast_sim.machine.memory

@@ -9,7 +9,6 @@ import pytest
 
 from repro.faults import (
     FAULTS_ENV,
-    LEGACY_CRASH_ENV,
     STATE_ENV,
     reset_active_faults,
 )
@@ -28,7 +27,6 @@ def clean_fault_env(monkeypatch):
     """No ambient fault configuration leaks into (or out of) a test."""
     monkeypatch.delenv(FAULTS_ENV, raising=False)
     monkeypatch.delenv(STATE_ENV, raising=False)
-    monkeypatch.delenv(LEGACY_CRASH_ENV, raising=False)
     reset_active_faults()
     yield
     reset_active_faults()
