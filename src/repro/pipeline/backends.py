@@ -1,14 +1,16 @@
 """Pipeline backend registry: the execution model as a dimension.
 
 The speculative *front end* -- fetch, branch prediction, confidence
-tagging, wrong-path execution, the gating/eager hooks, the decoded
-fast path -- lives in :class:`~repro.pipeline.core.PipelineSimulator`
-and is shared by every backend.  A **backend** supplies the execution
-model behind it: how instructions occupy the in-flight window, when
-branches resolve, and how squash recovery restores machine state.
+tagging, wrong-path execution, speculation control (the gating and
+dual-path policies, plain data both engines read), the fused loop over
+decoded programs -- lives in
+:class:`~repro.pipeline.core.PipelineSimulator` and is shared by every
+backend.  A **backend** supplies the execution model behind it: how
+instructions occupy the in-flight window, when branches resolve, and
+how squash recovery restores machine state.
 
 Backends plug in by subclassing :class:`PipelineSimulator` and
-overriding the backend hook surface (:class:`PipelineBackend` below).
+overriding the three backend hooks of :class:`PipelineBackend` below.
 Two ship with the repository:
 
 ``inorder``
@@ -21,6 +23,10 @@ Two ship with the repository:
     :class:`~repro.pipeline.ooo.OutOfOrderSimulator` -- the R10K-style
     out-of-order core (register rename + active list, issue queue,
     configurable in-flight window, squash-on-mispredict).
+
+A speculation simulator (``GatedOutOfOrderSimulator``,
+``EagerOutOfOrderSimulator``) mixes a backend class with a class that
+only sets policy data, so either policy composes with any backend.
 
 The backend name travels with :class:`~repro.harness.experiments.Scale`
 through the CLI (``--backend``), the artifact cache keys, the DAG
@@ -49,10 +55,10 @@ class PipelineBackend(Protocol):
 
     :class:`~repro.pipeline.core.PipelineSimulator` provides the
     in-order reference implementation of every method; a backend
-    subclass overrides the timing-model subset it changes.  The
-    front-end machinery guarantees the hooks are called identically on
-    the reference and decoded fetch paths (grouped fast-path entries
-    only exist for the in-order backend, which overrides nothing).
+    subclass overrides the timing-model subset it changes.  Only the
+    reference engine (``step_cycle``) calls the hooks; the fused loop
+    inlines the in-order no-ops and runs only for simulators with a
+    decoded program, which a backend that overrides a hook never holds.
     """
 
     def wants_fetch(self) -> bool:
@@ -82,23 +88,6 @@ class PipelineBackend(Protocol):
     def _recover_from(self, entry) -> None:
         """Squash younger work after a detected misprediction and
         restart fetch on the correct path."""
-
-    # -- front-end hooks backends may also refine ----------------------
-
-    def _fetch_width(self) -> int:
-        """Instructions fetchable this cycle."""
-
-    def _fetch_branch(self, entry, taken: bool, target: int) -> None:
-        """Predict, assess and record one fetched branch."""
-
-    def _front_end_mispredict(self, entry, target: int) -> None:
-        """Steer fetch at a mispredicted branch."""
-
-    def _resolve_branch(self, entry) -> None:
-        """Train predictor/estimators for one committed branch."""
-
-    def _after_mispredicted_resolve(self, entry) -> None:
-        """Apply the cost of a detected misprediction."""
 
 
 #: Registered backend name -> simulator class.

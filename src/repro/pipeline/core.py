@@ -28,32 +28,44 @@ the oracle view of Figures 6/7) and the *perceived* distance (reset
 when a misprediction is detected at resolution; the implementable view
 of Figures 8/9), plus the confidence estimates made at fetch time.
 
-Two fetch engines share these semantics bit for bit:
+Two engines share these semantics bit for bit:
 
-* the **reference path** steps :meth:`Machine.step` once per fetched
-  instruction (``REPRO_PIPELINE_FAST=0``),
-* the **fast path** (default) drives a
-  :class:`~repro.pipeline.decode.DecodedProgram`: straight-line plain
-  runs execute as pre-specialised closures in one tight inner loop,
-  consecutive same-line I-cache accesses are batched (an access to the
-  most-recently-touched line is a guaranteed hit that cannot disturb
-  LRU order, so the hit counter is bumped arithmetically), and
-  non-branch instructions fetched in the same cycle share one grouped
-  in-flight entry that the commit stage drains by count.
+* the **reference engine**, :meth:`PipelineSimulator.step_cycle`, runs
+  one cycle at a time and steps :meth:`Machine.step` once per fetched
+  instruction; ``run`` loops over it when the simulator holds no
+  decoded program (``REPRO_PIPELINE_FAST=0``, the OoO backend),
+* the **fused engine**, :meth:`PipelineSimulator._run_fast` (``run``'s
+  default), drives a :class:`~repro.pipeline.decode.DecodedProgram` in
+  one loop: straight-line plain runs execute as pre-specialised
+  closures, consecutive same-line I-cache accesses are batched (an
+  access to the most-recently-touched line is a guaranteed hit that
+  cannot disturb LRU order, so the hit counter is bumped
+  arithmetically), and non-branch instructions fetched in the same
+  cycle share one grouped in-flight entry that the commit stage drains
+  by count.
 
-Both paths funnel every branch through the same ``_fetch_branch`` /
-``_resolve_branch`` hooks, so predictor, estimator, record and cache
-state evolve identically -- the byte-identity tests and the CI golden
-report legs compare the two engines end to end.
+Both engines use the same predictor protocol (the full
+:class:`~repro.predictors.base.Prediction` record when estimators are
+attached, compact tokens otherwise), so in-flight entries move freely
+between them: a fused run may stop early, ``step_cycle`` may continue,
+and a later fused run picks up where it left off.  The byte-identity
+tests and the CI golden report legs compare the two engines end to end.
 
-The front end above (fetch, branch prediction, confidence tagging, the
-gating/eager hooks, the decoded fast path) is shared by every pipeline
-*backend*; the execution model behind it is pluggable through the
-backend hook surface (``_dispatch``, ``_retire_entry``,
-``_recover_from`` and friends -- the :class:`PipelineBackend` protocol
-in :mod:`repro.pipeline.backends`).  This class is itself the
-``inorder`` backend; :class:`repro.pipeline.ooo.OutOfOrderSimulator`
-swaps an R10K-style out-of-order window in behind the same front end.
+Speculation control is policy data both engines read, not subclass
+code: ``_gate`` (pipeline gating: estimator name, threshold) and
+``_fork`` (selective dual-path execution: estimator name, switch
+penalty).  :class:`~repro.speculation.GatedPipelineSimulator` and
+:class:`~repro.speculation.EagerPipelineSimulator` only validate and
+set them.
+
+The front end above (fetch, branch prediction, confidence tagging,
+speculation control) is shared by every pipeline *backend*; the
+execution model behind it is pluggable through the backend hooks
+``_dispatch``, ``_retire_entry`` and ``_recover_from`` (the
+:class:`PipelineBackend` protocol in :mod:`repro.pipeline.backends`).
+This class is itself the ``inorder`` backend;
+:class:`repro.pipeline.ooo.OutOfOrderSimulator` swaps an R10K-style
+out-of-order window in behind the same front end.
 """
 
 from __future__ import annotations
@@ -66,7 +78,7 @@ from ..confidence.base import ConfidenceEstimator
 from ..isa import Machine, MachineFault, Program
 from ..isa.instructions import WORD_MASK, OpCategory
 from ..metrics.quadrant import QuadrantCounts
-from ..predictors.base import BranchPredictor, Prediction
+from ..predictors.base import BranchPredictor
 from ..predictors.gshare import GsharePredictor
 from ..predictors.mcfarling import McFarlingPredictor
 from .caches import Cache
@@ -122,6 +134,31 @@ class _Inflight:
         self.record_index = -1
 
 
+def _low_confidence(entry: _Inflight, name: str) -> bool:
+    """Did estimator ``name`` tag this branch entry low confidence?"""
+    for estimator_name, __, assessment in entry.assessments:
+        if estimator_name == name:
+            return not assessment.high_confidence
+    return False
+
+
+def count_low_confidence_inflight(simulator: "PipelineSimulator", name: str) -> int:
+    """Unresolved branches currently tagged low-confidence by ``name``."""
+    return sum(
+        1
+        for entry in simulator._inflight
+        if entry.is_branch and _low_confidence(entry, name)
+    )
+
+
+def _fork_history(predictor: BranchPredictor):
+    """The speculative global history a dual-path fork splits per path,
+    or ``None`` for predictors without one."""
+    if getattr(predictor, "speculative_history", False):
+        return getattr(predictor, "history", None)
+    return None
+
+
 class PipelineResult:
     """Everything a pipeline run produced."""
 
@@ -156,9 +193,10 @@ class PipelineSimulator:
     branch (wrong-path included, as in hardware) and resolved in order
     for committed branches only.
 
-    ``fast`` selects the fetch engine: ``None`` (default) follows the
+    ``fast`` selects ``run``'s engine: ``None`` (default) follows the
     ``REPRO_PIPELINE_FAST`` environment gate, ``True``/``False`` force
-    the pre-decoded fast path / the reference per-instruction loop.
+    the fused loop over a pre-decoded program / the reference
+    per-cycle loop.  ``step_cycle`` always takes the reference engine.
     ``decoded`` may supply a shared :class:`DecodedProgram` (e.g. the
     ``program-decoded`` artifact) to skip the in-process decode.
     """
@@ -207,11 +245,22 @@ class PipelineSimulator:
         self._precise_counter = 0
         #: Branches fetched since the last *detected* misprediction.
         self._perceived_counter = 0
-        #: I-cache line of the most recent fetch access (fast path): a
-        #: repeat access is a guaranteed hit with LRU order unchanged.
+        #: I-cache line of the fused loop's most recent fetch access: a
+        #: repeat access is a guaranteed hit with LRU order unchanged
+        #: (-1 after the reference fetch, which does not maintain it).
         self._icache_line = -1
         self._program_done = False  # halt committed
         self._max_instructions: Optional[int] = None
+        #: Pipeline gating policy, ``(estimator name, threshold)``: no
+        #: fetch while that many unresolved branches are tagged low
+        #: confidence by the estimator (``None``: ungated).
+        self._gate: Optional[Tuple[str, int]] = None
+        #: Selective dual-path policy, ``(estimator name, switch
+        #: penalty)``: fork on a low-confidence branch (``None``: off).
+        self._fork: Optional[Tuple[str, int]] = None
+        #: Sequence number of the live forked branch (-1: none).  A
+        #: number, not the entry: the fused loop rebuilds entries.
+        self._fork_sequence = -1
         self._quadrants_committed = {
             name: QuadrantCounts() for name in self.estimators
         }
@@ -286,8 +335,7 @@ class PipelineSimulator:
         boundary by up to ``commit_width - 1`` instructions; only the
         hard ``max_instructions`` budget truncates exactly.
         """
-        if self._decoded is not None and self._fused():
-            # every hook this class uses is inlined: run the fused loop
+        if self._decoded is not None:
             return self._run_fast(max_cycles, max_instructions, stop_instructions)
         self._max_instructions = max_instructions
         try:
@@ -307,19 +355,6 @@ class PipelineSimulator:
             self._max_instructions = None
         return self.result()
 
-    def _fused(self) -> bool:
-        """May ``run`` take the fused :meth:`_run_fast` loop?
-
-        Only a class whose every hook the loop inlines answers yes, and
-        only for its own exact type: a subclass that overrides a stage
-        hook must take the per-cycle path."""
-        return type(self) is PipelineSimulator
-
-    def _fetch_gate(self) -> Optional[Tuple[str, int]]:
-        """Hook: ``(estimator name, threshold)`` of the fetch gate the
-        fused loop applies, or ``None`` for an ungated run."""
-        return None
-
     def _run_fast(
         self,
         max_cycles: int,
@@ -328,31 +363,29 @@ class PipelineSimulator:
     ) -> PipelineResult:
         """Fused cycle loop over the pre-decoded program.
 
-        Cycle-for-cycle identical to ``step_cycle`` +
-        ``_fetch_stage_fast``, but commit and fetch are inlined in one
-        loop so per-cycle hook dispatch and local re-hoisting (the
-        dominant cost at ~3 fetched instructions per cycle) happen once
-        per *run* instead of once per cycle, and the per-branch
-        ``_fetch_branch`` / ``_resolve_branch`` / ``_recover_from``
-        bodies are inlined with the record-store column appends hoisted
-        to bound methods (the workloads average one branch per ~5
-        instructions, so per-branch call frames are the next cost after
-        per-cycle ones).  Every piece of simulator state this loop
-        touches -- stat counters, congestion, stall deadlines, the
-        misprediction-distance counters -- lives in locals and is
-        written back in the ``finally`` block; that is only sound
-        because *every* mutator of that state is inlined here, which is
-        why ``run`` engages this loop only for classes whose
-        :meth:`_fused` says so (subclasses that override stage hooks
-        take the per-cycle path).
+        Cycle-for-cycle identical to ``step_cycle``, but commit and
+        fetch are inlined in one loop so per-cycle dispatch and local
+        re-hoisting (the dominant cost at ~3 fetched instructions per
+        cycle) happen once per *run* instead of once per cycle, and the
+        per-branch ``_fetch_branch`` / ``_resolve_branch`` /
+        ``_recover_from`` bodies are inlined with the record-store
+        column appends hoisted to bound methods (the workloads average
+        one branch per ~5 instructions, so per-branch call frames are
+        the next cost after per-cycle ones).  Every piece of simulator
+        state this loop touches -- stat counters, congestion, stall
+        deadlines, the misprediction-distance counters, the live fork
+        and the speculation-control counters -- lives in locals and is
+        written back in the ``finally`` block.  The in-order backend
+        hooks are no-ops, so only simulators with a decoded program
+        (never the OoO backend) come here.
 
-        A fetch gate (:meth:`_fetch_gate`, pipeline gating) is applied
-        exactly where ``GatedPipelineSimulator._fetch_stage`` applies
+        The gate (``_gate``) is applied where ``_fetch_stage`` applies
         it: after commit, before any stall or fault check.  The loop
         keeps a run-local count of in-flight branches the gate
         estimator tagged low confidence (+1 at fetch, -1 at
         commit-resolve, 0 on squash) instead of rescanning the window
-        every cycle.
+        every cycle.  The fork (``_fork``) follows ``_fetch_stage``,
+        ``_fetch_branch`` and ``_resolve_branch`` step for step.
 
         Inside this loop, in-flight entries are plain lists (a Python
         class instantiation costs ~4x a list literal and entries are
@@ -395,18 +428,33 @@ class PipelineSimulator:
                 entry.ready_cycle,
                 entry.record_index,
             ]
-        # fetch gate: position of the gate estimator in every branch
-        # entry's assessment list, or -1 when ungated (the count then
-        # stays 0, below any threshold)
-        gate = self._fetch_gate()
-        if gate is None:
-            gate_position = -1
-            gate_threshold = sys.maxsize
-            gated_cycles = 0
-        else:
-            gate_on, gate_threshold = gate
-            gate_position = list(self.estimators).index(gate_on)
+        # speculation control: position of the gate/fork estimator in
+        # every branch entry's assessment list, or -1 when the policy
+        # is off (the gate's count then stays 0, below any threshold)
+        estimator_names = list(self.estimators)
+        gate = self._gate
+        gate_position = -1
+        gate_threshold = sys.maxsize
+        gated_cycles = 0
+        if gate is not None:
+            gate_position = estimator_names.index(gate[0])
+            gate_threshold = gate[1]
             gated_cycles = self.gated_cycles
+        fork = self._fork
+        fork_position = -1
+        fork_sequence = self._fork_sequence
+        fork_history = None
+        forks = covered = wasted_slots = 0
+        if fork is not None:
+            fork_position = estimator_names.index(fork[0])
+            fork_switch_penalty = fork[1]
+            fork_history = _fork_history(self.predictor)
+            forks = self.eager_forks
+            covered = self.eager_covered
+            wasted_slots = self.eager_wasted_slots
+        full_width = self.config.fetch_width
+        # while a fork is live the alternate path takes half the port
+        fork_width = max(1, full_width // 2)
         low_confidence = 0
         if gate_position >= 0:
             for entry in queue:
@@ -467,7 +515,6 @@ class PipelineSimulator:
             icache_miss_penalty = config.icache.miss_penalty
             dcache_miss_penalty = config.dcache.miss_penalty
             congestion_cap = config.congestion_cap
-            fetch_width = config.fetch_width
             commit_width = config.commit_width
             window = config.window
             resolve_stage = config.resolve_stage
@@ -636,6 +683,18 @@ class PipelineSimulator:
                                     (snapshot_hist << 1)
                                     | (1 if actual else 0)
                                 ) & mc_hist_mask
+                        elif (
+                            entry[0] == fork_sequence
+                            and entry[8]
+                            and fork_history is not None
+                        ):
+                            # per-path history was set at fork time: the
+                            # predictor's single-path repair must not undo
+                            # it (forks need estimators, so only this
+                            # protocol path ever resolves one)
+                            preserved = fork_history.value
+                            predictor_resolve(entry_pc, actual, prediction)
+                            fork_history.set(preserved)
                         else:
                             predictor_resolve(entry_pc, actual, prediction)
                         assessments = entry[6]
@@ -657,6 +716,15 @@ class PipelineSimulator:
                         if entry[8]:  # mispredicted
                             committed_mispredictions += 1
                             perceived = 0  # detection event
+                            if entry[0] == fork_sequence:
+                                # the fork's alternate path is the correct
+                                # one: a switch, not a squash and refill
+                                fork_sequence = -1
+                                covered += 1
+                                stall = cycle + fork_switch_penalty
+                                if stall > fetch_stalled_until:
+                                    fetch_stalled_until = stall
+                                break
                             # inline _recover_from; pending retired are
                             # all wrong-path, the restore discards them
                             machine.restore(entry[9])
@@ -676,23 +744,29 @@ class PipelineSimulator:
                             if stall > fetch_stalled_until:
                                 fetch_stalled_until = stall
                             break  # redirect consumed the commit group
-                # ---- fetch gate (mirrors GatedPipelineSimulator) ----
-                if not program_done and low_confidence >= gate_threshold:
+                        elif entry[0] == fork_sequence:
+                            fork_sequence = -1  # the fork expires unused
+                # ---- fetch stage (mirrors _fetch_stage) ----
+                width = 0
+                if program_done:
+                    pass
+                elif low_confidence >= gate_threshold:
                     gated_cycles += 1
-                # ---- fetch stage (mirrors _fetch_stage_fast) ----
-                elif (
-                    not program_done
-                    and cycle >= fetch_stalled_until
-                    and not fetch_faulted
-                    and not machine.halted
-                    and inflight_count < window
-                ):
+                elif cycle >= fetch_stalled_until and not fetch_faulted:
+                    width = full_width
+                    if fork_sequence >= 0:
+                        # dilution is charged even if nothing is fetched
+                        width = fork_width
+                        wasted_slots += full_width - fork_width
+                    if machine.halted or inflight_count >= window:
+                        width = 0
+                if width:
                     regs = machine.regs  # recovery rebinds the list
                     pc = machine.pc
                     ready = cycle + resolve_stage
                     fetched = 0
                     group = None
-                    while fetched < fetch_width and inflight_count < window:
+                    while fetched < width and inflight_count < window:
                         if pc < 0 or pc >= code_length:
                             if unresolved:
                                 # runaway wrong-path fetch (stale jr)
@@ -724,7 +798,7 @@ class PipelineSimulator:
                             icache_hits += 1
                         run = run_len[pc]
                         if run:
-                            slots = fetch_width - fetched
+                            slots = width - fetched
                             if run > slots:
                                 run = slots
                             room = window - inflight_count
@@ -868,12 +942,32 @@ class PipelineSimulator:
                             sequence += 1
                             fetched_branches += 1
                             perceived += 1
+                            forking = (
+                                fork_position >= 0
+                                and fork_sequence < 0
+                                and not unresolved
+                                and not entry_assessments[fork_position][2]
+                                .high_confidence
+                            )
+                            if forking:
+                                fork_sequence = sequence - 1
+                                forks += 1
                             if mispredicted:
                                 fetched_mispredictions += 1
                                 precise = 0
-                                # inline _front_end_mispredict: the
-                                # snapshot sees the actual-path state,
-                                # then fetch redirects down the
+                                if forking:
+                                    # the alternate context fetches the
+                                    # actual path the machine already
+                                    # follows: no snapshot, no redirect;
+                                    # it carries the complement history bit
+                                    if fork_history is not None:
+                                        fork_history.set(
+                                            fork_history.value ^ 1
+                                        )
+                                    pc = actual_next
+                                    break
+                                # the snapshot sees the actual-path
+                                # state, then fetch redirects down the
                                 # predicted (wrong) path
                                 unresolved += 1
                                 machine.instructions_retired += retired
@@ -979,8 +1073,13 @@ class PipelineSimulator:
             self._fetch_faulted = fetch_faulted
             self._unresolved_mispredictions = unresolved
             self._program_done = program_done
+            self._fork_sequence = fork_sequence
             if gate is not None:
                 self.gated_cycles = gated_cycles
+            if fork is not None:
+                self.eager_forks = forks
+                self.eager_covered = covered
+                self.eager_wasted_slots = wasted_slots
             machine.instructions_retired += retired
             icache.hits = icache_hits
             icache.misses = icache_misses
@@ -1089,14 +1188,21 @@ class PipelineSimulator:
         self.stats.committed_branches += 1
         self.records.resolve(entry.record_index, self._cycle)
         correct = not entry.mispredicted
-        prediction = entry.prediction
-        if isinstance(prediction, Prediction):
-            self.predictor.resolve(entry.pc, entry.actual_taken, prediction)
+        forked = entry.sequence == self._fork_sequence
+        # a mispredicted fork's per-path history was set at fork time:
+        # the predictor's single-path repair must not undo it
+        history = None
+        if forked and entry.mispredicted:
+            history = _fork_history(self.predictor)
+        preserved = history.value if history is not None else 0
+        if self.estimators:
+            self.predictor.resolve(entry.pc, entry.actual_taken, entry.prediction)
         else:
-            # a compact token from an early-stopped _run_fast
             self.predictor.resolve_compact(
-                entry.pc, entry.actual_taken, prediction
+                entry.pc, entry.actual_taken, entry.prediction
             )
+        if history is not None:
+            history.set(preserved)
         for name, estimator, assessment in entry.assessments:
             estimator.resolve(
                 entry.pc, entry.prediction, entry.actual_taken, assessment
@@ -1104,16 +1210,20 @@ class PipelineSimulator:
             self._quadrants_committed[name].record(
                 correct, assessment.high_confidence
             )
+        if forked:
+            self._fork_sequence = -1  # the fork resolves: won or expired
         if entry.mispredicted:
             self.stats.committed_mispredictions += 1
             self._perceived_counter = 0  # detection event
-            self._after_mispredicted_resolve(entry)
-
-    def _after_mispredicted_resolve(self, entry: _Inflight) -> None:
-        """Hook: what a detected misprediction costs (default: full
-        squash-and-refill recovery; the dual-path simulator overrides
-        this for forked branches whose alternate path already ran)."""
-        self._recover_from(entry)
+            if forked:
+                # the fork's alternate path is the correct one: a
+                # switch, not a squash and refill
+                self.eager_covered += 1
+                self._fetch_stalled_until = max(
+                    self._fetch_stalled_until, self._cycle + self._fork[1]
+                )
+            else:
+                self._recover_from(entry)
 
     def _recover_from(self, entry: _Inflight) -> None:
         """Squash younger work and restart fetch on the correct path."""
@@ -1138,16 +1248,28 @@ class PipelineSimulator:
     # ------------------------------------------------------------------
 
     def _fetch_stage(self) -> None:
-        if self._decoded is not None:
-            return self._fetch_stage_fast()
+        # this path accesses the I-cache line by line, so the fused
+        # loop's most-recent-line memo may no longer be most recent
+        self._icache_line = -1
+        gate = self._gate
+        if gate is not None and (
+            count_low_confidence_inflight(self, gate[0]) >= gate[1]
+        ):
+            self.gated_cycles += 1
+            return
         config = self.config
         if self._cycle < self._fetch_stalled_until or self._fetch_faulted:
             return
+        fetch_width = config.fetch_width
+        if self._fork_sequence >= 0:
+            # the alternate path consumes the other half of the port
+            diluted = max(1, fetch_width // 2)
+            self.eager_wasted_slots += fetch_width - diluted
+            fetch_width = diluted
         machine = self.machine
         instructions = self.program.instructions
         code_length = len(instructions)
         fetched = 0
-        fetch_width = self._fetch_width()
         while (
             fetched < fetch_width
             and self._inflight_count < config.window
@@ -1187,196 +1309,13 @@ class PipelineSimulator:
                 self._fetch_branch(entry, result.taken, inst.imm)
                 self._dispatch(entry, inst)
                 if entry.mispredicted:
-                    break  # fetch group ends at a front-end redirect
+                    break  # fetch group ends at a redirect or fork
             elif result.halted:
                 entry.is_halt = True
                 self._dispatch(entry, inst)
                 break
             else:
                 self._dispatch(entry, inst)
-
-    def _fetch_stage_fast(self) -> None:
-        """Fetch one cycle against the pre-decoded program.
-
-        Semantically identical to the reference loop above -- same
-        I-cache/D-cache traffic, same hook calls, same stats -- but
-        plain straight-line runs execute as specialised closures, and
-        non-branch instructions fetched this cycle share one grouped
-        in-flight entry.
-        """
-        cycle = self._cycle
-        if cycle < self._fetch_stalled_until or self._fetch_faulted:
-            return
-        machine = self.machine
-        config = self.config
-        # _fetch_width() is a subclass hook with observable side effects
-        # (eager dilution accounting), so it must be consulted exactly
-        # when the reference loop consults it: before the halted check
-        fetch_width = self._fetch_width()
-        if machine.halted:
-            return
-        window = config.window
-        count = self._inflight_count
-        decoded = self._decoded
-        regs = machine.regs
-        memory = machine.memory
-        kinds = decoded.kinds
-        run_len = decoded.run_len
-        plain_ops = decoded.plain_ops
-        branch_ops = decoded.branch_ops
-        imms = decoded.imm
-        rs1s = decoded.rs1
-        rs2s = decoded.rs2
-        rds = decoded.rd
-        code_length = decoded.length
-        icache = self.icache
-        dcache = self.dcache
-        line_shift = icache._line_shift
-        last_line = self._icache_line
-        inflight = self._inflight
-        ready = cycle + config.resolve_stage
-        sequence = self._sequence
-        fetched = 0
-        retired = 0
-        group = None
-        pc = machine.pc
-        while fetched < fetch_width and count < window:
-            if pc < 0 or pc >= code_length:
-                # runaway fetch (stale jr target on a wrong path)
-                if self._unresolved_mispredictions:
-                    self._fetch_faulted = True
-                    break
-                raise MachineFault(f"fetch outside program at pc={pc}")
-            line = pc >> line_shift
-            if line != last_line:
-                last_line = line
-                if not icache.access(pc):
-                    self._fetch_stalled_until = (
-                        cycle + config.icache.miss_penalty
-                    )
-                    break
-            else:
-                # repeat access to the most recent line: guaranteed hit,
-                # already most-recently-used, LRU order unchanged
-                icache.hits += 1
-            run = run_len[pc]
-            if run:
-                # straight-line plain run: tight inner loop, one entry
-                limit = fetch_width - fetched
-                if run > limit:
-                    run = limit
-                room = window - count
-                if run > room:
-                    run = room
-                # stay on this I-cache line so the batched hit count
-                # stays exact; the next line is accessed next iteration
-                line_end = (line + 1) << line_shift
-                if pc + run > line_end:
-                    run = line_end - pc
-                end = pc + run
-                index = pc
-                while index < end:
-                    op = plain_ops[index]
-                    if op is not None:
-                        op(regs)
-                    index += 1
-                icache.hits += run - 1
-                machine.pc = end
-                retired += run
-                fetched += run
-                count += run
-                if group is not None:
-                    group.count += run
-                else:
-                    group = _Inflight(sequence, pc, ready)
-                    group.count = run
-                    inflight.append(group)
-                sequence += run
-                pc = end
-                continue
-            kind = kinds[pc]
-            if kind == K_BRANCH:
-                taken = branch_ops[pc](regs)
-                target = imms[pc]
-                machine.pc = target if taken else pc + 1
-                retired += 1
-                fetched += 1
-                count += 1
-                entry = _Inflight(sequence, pc, ready)
-                inflight.append(entry)
-                sequence += 1
-                group = None
-                # keep shared state exact around the hook: overrides
-                # (and snapshots) observe the true machine/pipeline
-                machine.instructions_retired += retired
-                retired = 0
-                self._sequence = sequence
-                self._inflight_count = count
-                self._fetch_branch(entry, taken, target)
-                pc = machine.pc  # a mispredict hook may have redirected
-                if entry.mispredicted:
-                    break
-                continue
-            if kind == K_LOAD:
-                address = (regs[rs1s[pc]] + imms[pc]) & WORD_MASK
-                if not dcache.access(address):
-                    self._congestion = min(
-                        config.congestion_cap,
-                        self._congestion + config.dcache.miss_penalty,
-                    )
-                rd = rds[pc]
-                if rd:
-                    regs[rd] = memory.get(address, 0)
-                next_pc = pc + 1
-            elif kind == K_STORE:
-                address = (regs[rs1s[pc]] + imms[pc]) & WORD_MASK
-                if not dcache.access(address):
-                    self._congestion = min(
-                        config.congestion_cap,
-                        self._congestion + config.dcache.miss_penalty,
-                    )
-                machine.store_word(address, regs[rs2s[pc]])
-                next_pc = pc + 1
-            elif kind == K_JUMP:
-                next_pc = imms[pc]
-            elif kind == K_JAL:
-                regs[31] = pc + 1
-                next_pc = imms[pc]
-            elif kind == K_JR:
-                next_pc = regs[rs1s[pc]]
-            else:  # K_HALT
-                machine.halted = True
-                machine.pc = pc + 1
-                retired += 1
-                fetched += 1
-                count += 1
-                entry = _Inflight(sequence, pc, ready)
-                entry.is_halt = True
-                inflight.append(entry)
-                sequence += 1
-                group = None
-                break
-            machine.pc = next_pc
-            retired += 1
-            fetched += 1
-            count += 1
-            if group is not None:
-                group.count += 1
-            else:
-                group = _Inflight(sequence, pc, ready)
-                inflight.append(group)
-            sequence += 1
-            pc = next_pc
-        machine.instructions_retired += retired
-        self._sequence = sequence
-        self._inflight_count = count
-        self._icache_line = last_line
-        self.stats.fetched_instructions += fetched
-
-    def _fetch_width(self) -> int:
-        """Hook: instructions fetchable this cycle (default: config
-        width; the dual-path simulator halves it while a fork is live)."""
-        return self.config.fetch_width
 
     def _dispatch(self, entry: _Inflight, inst) -> None:
         """Backend hook: one instruction entered the window at fetch.
@@ -1398,11 +1337,16 @@ class PipelineSimulator:
         executed in; ``target`` its taken-target PC.
         """
         pc = entry.pc
-        prediction = self.predictor.predict(pc)
+        if self.estimators:
+            # estimators consume the full Prediction record
+            prediction = self.predictor.predict(pc)
+            predicted_taken = prediction.taken
+        else:
+            predicted_taken, prediction = self.predictor.predict_compact(pc)
         entry.is_branch = True
         entry.prediction = prediction
         entry.actual_taken = taken
-        mispredicted = prediction.taken != taken
+        mispredicted = predicted_taken != taken
         entry.mispredicted = mispredicted
         congestion = self._congestion
         if congestion:
@@ -1425,7 +1369,7 @@ class PipelineSimulator:
         entry.record_index = self.records.append(
             sequence=entry.sequence,
             pc=pc,
-            predicted_taken=prediction.taken,
+            predicted_taken=predicted_taken,
             actual_taken=taken,
             fetch_cycle=self._cycle,
             precise_distance=self._precise_counter,
@@ -1435,25 +1379,34 @@ class PipelineSimulator:
         )
         self.stats.fetched_branches += 1
         self._perceived_counter += 1
-        if mispredicted:
-            self.stats.fetched_mispredictions += 1
-            self._precise_counter = 0
-            self._front_end_mispredict(entry, target)
-        else:
+        fork = self._fork
+        forking = (
+            fork is not None
+            and self._fork_sequence < 0
+            and not self._unresolved_mispredictions
+            and _low_confidence(entry, fork[0])
+        )
+        if forking:
+            # fetch both paths until this branch resolves
+            self._fork_sequence = entry.sequence
+            self.eager_forks += 1
+        if not mispredicted:
             self._precise_counter += 1
-
-    def _front_end_mispredict(self, entry: _Inflight, target: int) -> None:
-        """Hook: steer the front end at a mispredicted fetch (default:
-        follow the wrong, predicted path until resolution; the dual-path
-        simulator keeps the correct path when it forks instead).
-        ``target`` is the branch's taken-target PC."""
-        machine = self.machine
+            return
+        self.stats.fetched_mispredictions += 1
+        self._precise_counter = 0
+        if forking:
+            # the alternate context fetches the actual path the machine
+            # already follows: no snapshot, no redirect; it carries the
+            # complement history bit
+            history = _fork_history(self.predictor)
+            if history is not None:
+                history.set(history.value ^ 1)
+            return
         self._unresolved_mispredictions += 1
+        machine = self.machine
         # state right after the branch went its *actual* way: the
         # recovery point if/when this branch resolves
         entry.snapshot = machine.snapshot()
         # redirect the front end down the predicted (wrong) path
-        if entry.prediction.taken:
-            machine.pc = target
-        else:
-            machine.pc = entry.pc + 1
+        machine.pc = target if predicted_taken else pc + 1

@@ -4,7 +4,7 @@
 of :class:`~repro.pipeline.core.PipelineSimulator` -- fetch through the
 I-cache, functional execution at decode on the journaled machine,
 branch prediction + confidence tagging, wrong-path fetch until
-resolution, the gating/eager hooks -- and replaces the fixed
+resolution, gating and dual-path forking -- and replaces the fixed
 5-stage *back end* timing with a MIPS R10000-flavoured out-of-order
 execution model:
 

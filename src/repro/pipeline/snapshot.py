@@ -14,10 +14,11 @@ and stores one snapshot per segment as a content-addressed
 
 The whole simulator is captured as a single pickle so every shared
 reference survives intact (estimator objects are aliased from the
-in-flight entries' assessment tuples; the dual-path simulator's active
-fork aliases its deque entry).  Capture pickles immediately --
-``capture_snapshot`` returns a deep, frozen copy by construction, so
-continuing the live simulator afterwards cannot mutate the checkpoint.
+in-flight entries' assessment tuples; the live dual-path fork is held
+as its branch's sequence number, so it aliases nothing).  Capture
+pickles immediately -- ``capture_snapshot`` returns a deep, frozen
+copy by construction, so continuing the live simulator afterwards
+cannot mutate the checkpoint.
 The simulator's ``fast``/``decoded`` machinery cooperates:
 :class:`~repro.pipeline.decode.DecodedProgram` drops its closures on
 pickling and rebuilds them lazily, ``BranchRecordStore`` resets its
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 #: Bump when the snapshot payload layout changes; restores refuse
 #: mismatched schemas instead of resuming from garbage.
-SNAPSHOT_SCHEMA = "pipeline-snapshot/1"
+SNAPSHOT_SCHEMA = "pipeline-snapshot/2"
 
 
 class SnapshotError(RuntimeError):

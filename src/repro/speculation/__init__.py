@@ -1,5 +1,6 @@
 """Speculation-control applications built on confidence estimation."""
 
+from ..pipeline.core import count_low_confidence_inflight
 from .dualpath import (
     EagerComparison,
     EagerOutOfOrderSimulator,
@@ -13,7 +14,6 @@ from .gating import (
     GatedPipelineSimulator,
     GatingComparison,
     compare_gating,
-    count_low_confidence_inflight,
     make_gated_simulator,
 )
 from .inversion import InversionResult, InvertingPredictor, evaluate_inversion

@@ -29,25 +29,14 @@ from ..pipeline.ooo import OutOfOrderSimulator
 from ..predictors.base import BranchPredictor
 
 
-def count_low_confidence_inflight(simulator: PipelineSimulator, name: str) -> int:
-    """Unresolved branches currently tagged low-confidence by ``name``."""
-    count = 0
-    for entry in simulator._inflight:
-        if not entry.is_branch:
-            continue
-        for estimator_name, __, assessment in entry.assessments:
-            if estimator_name == name and not assessment.high_confidence:
-                count += 1
-                break
-    return count
-
-
 class GatedPipelineSimulator(PipelineSimulator):
     """Pipeline whose front end gates on low-confidence branch count.
 
-    Fetch is suppressed in any cycle where more than ``gate_threshold``
+    Fetch is suppressed in any cycle where at least ``gate_threshold``
     unresolved low-confidence branches (as judged by the estimator
-    named ``gate_on``) are in flight.
+    named ``gate_on``) are in flight.  The gate is policy data both
+    pipeline engines apply (``PipelineSimulator._gate``); this class
+    only validates it.
     """
 
     def __init__(
@@ -81,34 +70,13 @@ class GatedPipelineSimulator(PipelineSimulator):
                 f"the number of unresolved low-confidence branches, judged "
                 f"by estimator {gate_on!r}, that stalls fetch"
             )
-        self.gate_on = gate_on
-        self.gate_threshold = gate_threshold
+        self._gate = (gate_on, gate_threshold)
         self.gated_cycles = 0
-
-    def _fused(self) -> bool:
-        # the fused loop applies the gate itself (see _fetch_gate)
-        return type(self) is GatedPipelineSimulator
-
-    def _fetch_gate(self):
-        return self.gate_on, self.gate_threshold
-
-    def _fetch_stage(self) -> None:
-        if (
-            count_low_confidence_inflight(self, self.gate_on)
-            >= self.gate_threshold
-        ):
-            self.gated_cycles += 1
-            return
-        super()._fetch_stage()
 
 
 class GatedOutOfOrderSimulator(GatedPipelineSimulator, OutOfOrderSimulator):
-    """Gated front end over the out-of-order backend.
-
-    The gating override (``_fetch_stage``) and the OoO backend hooks
-    (``_dispatch``/``_retire_entry``/``_recover_from``) are disjoint,
-    so plain cooperative inheritance composes them.
-    """
+    """Gated front end over the out-of-order backend (the gate is data,
+    the OoO backend hooks are code, so the two compose)."""
 
 
 #: Gated simulator class per pipeline backend name.

@@ -35,9 +35,12 @@ from typing import Callable, List, Sequence
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Program
 from ..pipeline.config import PipelineConfig
-from ..pipeline.core import PipelineResult, PipelineSimulator
+from ..pipeline.core import (
+    PipelineResult,
+    PipelineSimulator,
+    count_low_confidence_inflight,
+)
 from ..predictors.base import BranchPredictor
-from .gating import count_low_confidence_inflight
 
 POLICIES = ("round_robin", "confidence", "adaptive")
 
@@ -102,6 +105,8 @@ class SMTSimulator:
                     predictor,
                     config=config,
                     estimators={ESTIMATOR_SLOT: estimator_factory(predictor)},
+                    # threads are only stepped, so decoding is wasted
+                    fast=False,
                 )
             )
         self._rotor = 0

@@ -6,9 +6,8 @@ Three groups of guarantees:
   cycle loop, compact predictor protocol, columnar records) must leave
   *exactly* the state the reference per-instruction engine leaves:
   stats, every branch-record field, architectural machine state, cache
-  hit/miss counters, estimator quadrants -- for the base and gated
-  simulators (which take the fused loop) and for the eager subclass
-  (which rides the per-cycle fast fetch stage);
+  hit/miss counters, estimator quadrants -- for the base, gated and
+  eager simulators, all of which ``run`` through the fused loop;
 * **accounting fixes** -- ``max_instructions`` commits exactly N, and a
   congestion window delays exactly one branch (no double charge across
   a fetch group);
@@ -27,6 +26,7 @@ from repro.confidence import JRSEstimator
 from repro.pipeline import (
     PIPELINE_FAST_ENV,
     BranchRecordStore,
+    CacheConfig,
     DecodedProgram,
     PipelineConfig,
     PipelineSimulator,
@@ -144,8 +144,8 @@ class TestFastSlowIdentity:
             runs.append((simulator, simulator.run(max_instructions=6_000)))
         assert_equivalent(*runs[0], *runs[1])
         # the fork counters live on the simulator, not the result; the
-        # wasted-slot count in particular depends on _fetch_width()
-        # being consulted on exactly the same cycles in both engines
+        # wasted-slot count in particular depends on both engines
+        # charging fork dilution on exactly the same cycles
         slow_sim, fast_sim = runs[0][0], runs[1][0]
         assert slow_sim.eager_forks == fast_sim.eager_forks
         assert slow_sim.eager_covered == fast_sim.eager_covered
@@ -160,24 +160,130 @@ class TestFastSlowIdentity:
         )
         assert_equivalent(reference, reference.run(), shared, shared.run())
 
-    def test_early_stop_then_step_cycle_continues_identically(self):
-        # an early-stopped fused run leaves normal _Inflight entries
-        # (compact prediction tokens included) that the per-cycle
-        # engine can drain to the same final state
-        program = small_program()
-        fast_sim = PipelineSimulator(program, GsharePredictor(), fast=True)
-        fast_sim.run(max_instructions=900)
-        while not fast_sim.done:
-            fast_sim.step_cycle()
-        slow_sim = PipelineSimulator(program, GsharePredictor(), fast=False)
-        slow_sim.run()
-        assert fast_sim.machine.regs == slow_sim.machine.regs
-        assert fast_sim.machine.memory == slow_sim.machine.memory
-        assert (
-            fast_sim.stats.committed_instructions
-            == slow_sim.stats.committed_instructions
-        )
+    @pytest.mark.parametrize("policy", ("none", "gate", "fork"))
+    def test_run_takes_the_fused_loop(self, policy, monkeypatch):
+        # speculation control is data the fused loop reads: no policy
+        # falls back to the per-cycle engine
+        program = small_program(iterations=5)
+        predictor = GsharePredictor()
+        estimators = {"policy": JRSEstimator(threshold=15)}
+        if policy == "gate":
+            simulator = GatedPipelineSimulator(
+                program, predictor, estimators=estimators,
+                gate_on="policy", fast=True,
+            )
+        elif policy == "fork":
+            simulator = EagerPipelineSimulator(
+                program, predictor, estimators=estimators,
+                fork_on="policy", fast=True,
+            )
+        else:
+            simulator = PipelineSimulator(
+                program, predictor, estimators=estimators, fast=True
+            )
+        fused = []
+        run_fast = PipelineSimulator._run_fast
 
+        def spy(self, *args):
+            fused.append(self)
+            return run_fast(self, *args)
+
+        def refuse(self, fetch_allowed=True):
+            raise AssertionError("run() took the per-cycle engine")
+
+        monkeypatch.setattr(PipelineSimulator, "_run_fast", spy)
+        monkeypatch.setattr(PipelineSimulator, "step_cycle", refuse)
+        assert simulator.run().stats.committed_instructions > 0
+        assert fused == [simulator]
+
+    def test_early_stop_then_step_cycle_continues_identically(self):
+        for policy in ("none", "fork"):
+            for stop in ("max_instructions", "stop_instructions"):
+                self._check_fused_step_cycle_fused(policy, stop)
+        # a one-wide fetch over three I-cache lines that share one
+        # 2-way set: here a stale most-recent-line memo skips an LRU
+        # update and later evicts the wrong line, at many pause points
+        program = assemble(LRU_CONFLICT_PROGRAM)
+        config = PipelineConfig(
+            fetch_width=1,
+            icache=CacheConfig(size_words=16, line_words=4, associativity=2),
+        )
+        reference = PipelineSimulator(
+            program, GsharePredictor(), config=config, fast=False
+        )
+        expected = reference.run()
+        for pause in range(20, 160, 14):
+            for steps in range(1, 30):
+                simulator = PipelineSimulator(
+                    program, GsharePredictor(), config=config, fast=True
+                )
+                simulator.run(stop_instructions=pause)
+                for __ in range(steps):
+                    simulator.step_cycle()
+                assert_equivalent(
+                    reference, expected, simulator, simulator.run()
+                )
+
+    def _check_fused_step_cycle_fused(self, policy, stop):
+        # a fused run stopped early leaves normal _Inflight entries that
+        # step_cycle() continues and a second fused run picks up again,
+        # ending in exactly the state of a reference run -- cache
+        # counters included (the reference fetch must drop the fused
+        # loop's most-recent-line memo), and compact prediction tokens
+        # when no estimator is attached.  A hard budget truncates the
+        # last commit group, so the reference run takes the same stop;
+        # a soft pause is invisible, so it runs uninterrupted.
+        program = small_program()
+        runs = []
+        for fast in (False, True):
+            predictor = GsharePredictor()
+            if policy == "fork":
+                simulator = EagerPipelineSimulator(
+                    program,
+                    predictor,
+                    estimators={"fork": JRSEstimator(threshold=15)},
+                    fork_on="fork",
+                    fast=fast,
+                )
+            else:
+                simulator = PipelineSimulator(program, predictor, fast=fast)
+            if fast or stop == "max_instructions":
+                simulator.run(**{stop: 900})
+            if fast:
+                for __ in range(300):
+                    simulator.step_cycle()
+            runs.append((simulator, simulator.run()))
+        assert_equivalent(*runs[0], *runs[1])
+        slow_sim, fast_sim = runs[0][0], runs[1][0]
+        assert fast_sim.done
+        if policy == "fork":
+            assert slow_sim.eager_forks == fast_sim.eager_forks > 0
+            assert slow_sim.eager_covered == fast_sim.eager_covered
+            assert slow_sim.eager_wasted_slots == fast_sim.eager_wasted_slots
+
+
+# set-0 I-cache lines a (pc 0-3), b (pc 8-11) and c (pc 16-19) are
+# fetched in the order a b a c a b a c ...
+LRU_CONFLICT_PROGRAM = """
+        j    init
+a:      xori r2, r2, 1
+        beq  r2, r0, toc
+        j    b
+toc:    j    c
+init:   addi r1, r0, 60
+        j    a
+        nop
+b:      addi r1, r1, -1
+        bne  r1, r0, a
+        halt
+        nop
+        nop
+        nop
+        nop
+        nop
+c:      addi r3, r3, 1
+        j    a
+"""
 
 CONGESTION_PROGRAM = """
         lw   r1, 0(r0)

@@ -260,45 +260,71 @@ def _gate_estimator(kind):
     return BoostedEstimator(MispredictionDistanceEstimator(3), k=2)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     workload_profiles(),
     pipeline_configs(),
+    st.sampled_from(("gate", "fork")),
     st.integers(min_value=1, max_value=3),
     st.sampled_from(("jrs", "distance", "boosted")),
     st.sampled_from((None, 7, 60, 500)),
     st.sampled_from((None, 5, 40, 300)),
 )
 def test_fused_gated_run_equals_per_cycle_gated_run(
-    profile, config, threshold, gate_kind, budget, pause
+    profile, config, policy, setting, estimator_kind, budget, pause
 ):
-    """The fused loop's fetch gate matches ``GatedPipelineSimulator``'s
-    per-cycle ``_fetch_stage`` gate: same stats, same gated cycles, same
-    branch records -- including an early ``max_instructions`` stop and a
-    resume after a soft ``stop_instructions`` pause."""
+    """The fused loop applies each speculation-control policy exactly
+    as the per-cycle reference engine does -- the gate (``setting`` =
+    threshold) and the dual-path fork (``setting`` = switch penalty):
+    same stats, same policy counters, same branch records -- including
+    an early ``max_instructions`` stop and a resume after a soft
+    ``stop_instructions`` pause."""
     program = generate_program(profile)
     runs = []
     for fast in (False, True):
         predictor = make_predictor("gshare")
-        simulator = GatedPipelineSimulator(
-            program,
-            predictor,
-            config=config,
-            estimators={
-                "other": JRSEstimator(table_size=64, threshold=3),
-                "gate": _gate_estimator(gate_kind),
-            },
-            gate_on="gate",
-            gate_threshold=threshold,
-            fast=fast,
-        )
+        estimators = {
+            "other": JRSEstimator(table_size=64, threshold=3),
+            "policy": _gate_estimator(estimator_kind),
+        }
+        if policy == "gate":
+            simulator = GatedPipelineSimulator(
+                program,
+                predictor,
+                config=config,
+                estimators=estimators,
+                gate_on="policy",
+                gate_threshold=setting,
+                fast=fast,
+            )
+        else:
+            simulator = EagerPipelineSimulator(
+                program,
+                predictor,
+                config=config,
+                estimators=estimators,
+                fork_on="policy",
+                fork_switch_penalty=setting,
+                fast=fast,
+            )
         if fast and pause is not None:
             # pause at a soft boundary, then resume to the same budget
             simulator.run(max_instructions=budget, stop_instructions=pause)
         runs.append((simulator, simulator.run(max_instructions=budget)))
     (slow_sim, slow), (fast_sim, fast) = runs
     assert dataclasses.asdict(slow.stats) == dataclasses.asdict(fast.stats)
-    assert slow_sim.gated_cycles == fast_sim.gated_cycles
+    if policy == "gate":
+        assert slow_sim.gated_cycles == fast_sim.gated_cycles
+    else:
+        assert (
+            slow_sim.eager_forks,
+            slow_sim.eager_covered,
+            slow_sim.eager_wasted_slots,
+        ) == (
+            fast_sim.eager_forks,
+            fast_sim.eager_covered,
+            fast_sim.eager_wasted_slots,
+        )
     assert slow.branch_records == fast.branch_records
     assert slow_sim.machine.regs == fast_sim.machine.regs
     assert slow_sim.machine.memory == fast_sim.machine.memory

@@ -107,12 +107,14 @@ class TestMechanism:
             if simulator.done:
                 break
             simulator.step_cycle()
+            live = simulator._fork_sequence
             forked = [
-                entry
-                for entry in simulator._inflight
-                if entry is simulator._active_fork
+                entry for entry in simulator._inflight if entry.sequence == live
             ]
-            assert len(forked) <= 1
+            # a live fork is exactly one in-flight branch, and it clears
+            # when that branch resolves
+            assert len(forked) == (1 if live >= 0 else 0)
+            assert all(entry.is_branch for entry in forked)
         assert simulator.done
 
     def test_eager_beats_baseline_on_hard_workload(self):
