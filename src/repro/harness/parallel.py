@@ -73,7 +73,7 @@ from ..faults import injector as faults
 from ..faults.injector import InjectedCrash
 from ..obs.journal import coalesce
 from ..obs.registry import REGISTRY, MetricsSnapshot
-from ..pipeline import backend_uses_decoded, decoded_run, pipeline_fast_enabled
+from ..pipeline import decoded_run, pipeline_fast_enabled
 from .checkpoint import store_checkpoint
 from .experiments import (
     EXPERIMENTS,
@@ -241,18 +241,16 @@ def plan_artifact_nodes(
             nodes[key] = ArtifactNode(key=key, deps=deps)
         return key
 
-    uses_decoded = backend_uses_decoded(scale.backend)
     chain = segment_count(scale.pipeline_instructions, scale.segment_instructions)
 
     def base_deps(workload: str) -> Tuple:
         # pipeline-backed artifacts read the shared pre-decoded program
-        # (fast path); the worker no-ops when the fast path is
-        # disabled, and backends without a decoded engine (ooo) skip
-        # the decode node entirely
-        trace = add("trace", (workload, scale.iterations))
-        if not uses_decoded:
-            return (trace,)
-        return (trace, add("program-decoded", (workload, scale.iterations)))
+        # (fast path, every backend); the worker no-ops when the fast
+        # path is disabled
+        return (
+            add("trace", (workload, scale.iterations)),
+            add("program-decoded", (workload, scale.iterations)),
+        )
 
     def pipeline_node(workload: str, predictor: str) -> Tuple[str, Tuple]:
         deps = base_deps(workload)

@@ -38,7 +38,6 @@ from ..pipeline import (
     PipelineResult,
     PipelineSimulator,
     SnapshotError,
-    backend_uses_decoded,
     capture_snapshot,
     create_simulator,
     decoded_run,
@@ -112,13 +111,9 @@ def build_cell_simulator(
             "satcnt": SaturatingCountersEstimator.for_predictor(predictor),
         }
     # the fast path reads the shared pre-decoded artifact (warmed by
-    # the DAG scheduler; a cheap decode on a cold cache) -- only the
-    # in-order backend has a decoded engine, others fetch per
-    # instruction on the reference path
+    # the DAG scheduler; a cheap decode on a cold cache)
     decoded = (
-        decoded_run(workload, iterations)
-        if backend_uses_decoded(backend) and pipeline_fast_enabled()
-        else None
+        decoded_run(workload, iterations) if pipeline_fast_enabled() else None
     )
     return create_simulator(
         program,

@@ -51,7 +51,6 @@ from ..obs.registry import REGISTRY
 from ..pipeline import (
     PipelineConfig,
     PipelineStats,
-    backend_uses_decoded,
     decoded_run,
     normalize_backend,
     pipeline_fast_enabled,
@@ -270,9 +269,9 @@ def _estimator_factory(name: str) -> Callable:
         ) from None
 
 
-def _decoded(workload: str, iterations: Optional[int], backend: str):
-    """The shared pre-decoded program when ``backend`` runs the fast path."""
-    if backend_uses_decoded(backend) and pipeline_fast_enabled():
+def _decoded(workload: str, iterations: Optional[int]):
+    """The shared pre-decoded program when the fast path is enabled."""
+    if pipeline_fast_enabled():
         return decoded_run(workload, iterations)
     return None
 
@@ -314,7 +313,7 @@ def _compute_gating_cell(
         _estimator_factory(estimator_name),
         gate_threshold=threshold,
         config=config,
-        decoded=_decoded(workload, iterations, backend),
+        decoded=_decoded(workload, iterations),
         backend=backend,
     )
     gated = simulator.run(max_instructions=max_instructions).stats
@@ -394,7 +393,7 @@ def _compute_eager_cell(
         _predictor_factory,
         _estimator_factory(estimator_name),
         config=PipelineConfig(),
-        decoded=_decoded(workload, iterations, backend),
+        decoded=_decoded(workload, iterations),
         backend=backend,
     )
     eager = simulator.run(max_instructions=max_instructions).stats

@@ -5,7 +5,6 @@ from .backends import (
     BACKENDS,
     DEFAULT_BACKEND,
     PipelineBackend,
-    backend_uses_decoded,
     create_simulator,
     normalize_backend,
     register_backend,
@@ -47,7 +46,6 @@ __all__ = [
     "OOO_WINDOW",
     "OutOfOrderSimulator",
     "PipelineBackend",
-    "backend_uses_decoded",
     "create_simulator",
     "normalize_backend",
     "register_backend",

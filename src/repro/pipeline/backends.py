@@ -56,9 +56,12 @@ class PipelineBackend(Protocol):
     :class:`~repro.pipeline.core.PipelineSimulator` provides the
     in-order reference implementation of every method; a backend
     subclass overrides the timing-model subset it changes.  Only the
-    reference engine (``step_cycle``) calls the hooks; the fused loop
-    inlines the in-order no-ops and runs only for simulators with a
-    decoded program, which a backend that overrides a hook never holds.
+    reference engine (``step_cycle``) calls the hooks.  The fused loop
+    (``run`` on a simulator holding a decoded program) inlines the
+    bodies of both shipped backends -- the in-order no-ops and the
+    out-of-order rename/issue, register free and rollback -- so any
+    other backend that overrides a hook must be built with
+    ``fast=False``.
     """
 
     def wants_fetch(self) -> bool:
@@ -123,15 +126,6 @@ def normalize_backend(backend: Optional[str]) -> str:
         known = ", ".join(sorted(BACKENDS))
         raise ValueError(f"unknown pipeline backend {name!r} (known: {known})")
     return name
-
-
-def backend_uses_decoded(backend: Optional[str]) -> bool:
-    """Whether the backend consumes ``program-decoded`` artifacts.
-
-    Only the in-order backend has a decoded fast path; the OoO backend
-    always fetches per-instruction on the reference path.
-    """
-    return normalize_backend(backend) == "inorder"
 
 
 def create_simulator(

@@ -31,18 +31,20 @@ of Figures 8/9), plus the confidence estimates made at fetch time.
 Two engines share these semantics bit for bit:
 
 * the **reference engine**, :meth:`PipelineSimulator.step_cycle`, runs
-  one cycle at a time and steps :meth:`Machine.step` once per fetched
-  instruction; ``run`` loops over it when the simulator holds no
-  decoded program (``REPRO_PIPELINE_FAST=0``, the OoO backend),
+  one cycle at a time, steps :meth:`Machine.step` once per fetched
+  instruction and calls the backend hooks; ``run`` loops over it when
+  the simulator holds no decoded program (``REPRO_PIPELINE_FAST=0``),
 * the **fused engine**, :meth:`PipelineSimulator._run_fast` (``run``'s
-  default), drives a :class:`~repro.pipeline.decode.DecodedProgram` in
-  one loop: straight-line plain runs execute as pre-specialised
-  closures, consecutive same-line I-cache accesses are batched (an
-  access to the most-recently-touched line is a guaranteed hit that
-  cannot disturb LRU order, so the hit counter is bumped
-  arithmetically), and non-branch instructions fetched in the same
-  cycle share one grouped in-flight entry that the commit stage drains
-  by count.
+  default, for both backends), drives a
+  :class:`~repro.pipeline.decode.DecodedProgram` in one loop:
+  straight-line plain runs execute as pre-specialised closures,
+  consecutive same-line I-cache accesses are batched (an access to the
+  most-recently-touched line is a guaranteed hit that cannot disturb
+  LRU order, so the hit counter is bumped arithmetically), and on the
+  in-order core non-branch instructions fetched in the same cycle share
+  one grouped in-flight entry that the commit stage drains by count.
+  The out-of-order backend's hooks are inlined over its rename state,
+  one entry per instruction.
 
 Both engines use the same predictor protocol (the full
 :class:`~repro.predictors.base.Prediction` record when estimators are
@@ -65,7 +67,9 @@ execution model behind it is pluggable through the backend hooks
 :class:`PipelineBackend` protocol in :mod:`repro.pipeline.backends`).
 This class is itself the ``inorder`` backend;
 :class:`repro.pipeline.ooo.OutOfOrderSimulator` swaps an R10K-style
-out-of-order window in behind the same front end.
+out-of-order window in behind the same front end, and the fused loop
+reads its timing state (``_rename_map`` and the rest) the way it reads
+the speculation policies.
 """
 
 from __future__ import annotations
@@ -96,6 +100,10 @@ from .decode import (
     pipeline_fast_enabled,
 )
 from .records import BranchRecord, BranchRecordStore, PipelineStats
+
+#: ``stats.extra`` key of the out-of-order backend's {window depth ->
+#: mispredict count} histogram, sampled at every misprediction recovery.
+DEPTH_HISTOGRAM_KEY = "ooo_mispredict_window_depth"
 
 
 class _Inflight:
@@ -200,6 +208,11 @@ class PipelineSimulator:
     ``decoded`` may supply a shared :class:`DecodedProgram` (e.g. the
     ``program-decoded`` artifact) to skip the in-process decode.
     """
+
+    #: The out-of-order backend's rename map (architectural -> physical
+    #: register); ``None`` on the in-order core, which the fused loop
+    #: reads as "no rename/issue timing".
+    _rename_map: Optional[List[int]] = None
 
     def __init__(
         self,
@@ -375,9 +388,11 @@ class PipelineSimulator:
         state this loop touches -- stat counters, congestion, stall
         deadlines, the misprediction-distance counters, the live fork
         and the speculation-control counters -- lives in locals and is
-        written back in the ``finally`` block.  The in-order backend
-        hooks are no-ops, so only simulators with a decoded program
-        (never the OoO backend) come here.
+        written back in the ``finally`` block.  The backend hooks are
+        inlined too: the in-order ones are no-ops, and on the
+        out-of-order backend (``_rename_map`` set) rename and issue run
+        at fetch, one entry per instruction, the previous mapping is
+        freed at retire, and a squash rolls the rename state back.
 
         The gate (``_gate``) is applied where ``_fetch_stage`` applies
         it: after commit, before any stall or fault check.  The loop
@@ -452,6 +467,25 @@ class PipelineSimulator:
             forks = self.eager_forks
             covered = self.eager_covered
             wasted_slots = self.eager_wasted_slots
+        # out-of-order timing state, or None on the in-order core: the
+        # OutOfOrderSimulator hooks _dispatch, _retire_entry and
+        # _recover_from are inlined below over these locals
+        rename_map = self._rename_map
+        renaming = rename_map is not None
+        if renaming:
+            operands = self._decoded.operands
+            phys_ready = self._phys_ready
+            free_regs = self._free_regs
+            free_popleft = free_regs.popleft
+            free_append = free_regs.append
+            free_appendleft = free_regs.appendleft
+            rename_of = self._rename_of
+            rename_of_pop = rename_of.pop
+            issue_slots = self._issue_slots
+            issue_slots_get = issue_slots.get
+            issue_width = self.issue_width
+            memory_latency = self.config.cache_hit_latency
+            issue_slots_cap = 4 * self.config.window
         full_width = self.config.fetch_width
         # while a fork is live the alternate path takes half the port
         fork_width = max(1, full_width // 2)
@@ -618,6 +652,12 @@ class PipelineSimulator:
                         inflight_count -= 1
                         committed += 1
                         committed_instructions += 1
+                        if renaming:
+                            # inline _retire_entry: free the previous
+                            # mapping of a retiring register writer
+                            info = rename_of_pop(entry[0], None)
+                            if info is not None:
+                                free_append(info[2])
                         if entry[4]:  # is_halt
                             program_done = True
                             break
@@ -725,6 +765,24 @@ class PipelineSimulator:
                                 if stall > fetch_stalled_until:
                                     fetch_stalled_until = stall
                                 break
+                            if renaming:
+                                # inline the OoO _recover_from: every
+                                # in-flight writer is younger than this
+                                # branch, so _rename_of holds exactly the
+                                # squashed writers, oldest first
+                                histogram = stats.extra.setdefault(
+                                    DEPTH_HISTOGRAM_KEY, {}
+                                )
+                                histogram[inflight_count] = (
+                                    histogram.get(inflight_count, 0) + 1
+                                )
+                                for arch, new_phys, old_phys in reversed(
+                                    rename_of.values()
+                                ):
+                                    rename_map[arch] = old_phys
+                                    free_appendleft(new_phys)
+                                rename_of.clear()
+                                issue_slots.clear()
                             # inline _recover_from; pending retired are
                             # all wrong-path, the restore discards them
                             machine.restore(entry[9])
@@ -818,18 +876,82 @@ class PipelineSimulator:
                             retired += run
                             fetched += run
                             inflight_count += run
-                            if group is not None:
-                                group[2] += run  # count
+                            if renaming:
+                                # inline _dispatch per instruction: each
+                                # has its own (one-cycle ALU) completion
+                                index = pc
+                                while index < end:
+                                    first, second, dest = operands[index]
+                                    issue = cycle + 1
+                                    value = phys_ready[rename_map[first]]
+                                    if value > issue:
+                                        issue = value
+                                    value = phys_ready[rename_map[second]]
+                                    if value > issue:
+                                        issue = value
+                                    claimed = issue_slots_get(issue, 0)
+                                    while claimed >= issue_width:
+                                        issue += 1
+                                        claimed = issue_slots_get(issue, 0)
+                                    issue_slots[issue] = claimed + 1
+                                    complete = issue + 1
+                                    if dest:
+                                        new_phys = free_popleft()
+                                        rename_of[sequence] = (
+                                            dest, new_phys, rename_map[dest],
+                                        )
+                                        rename_map[dest] = new_phys
+                                        phys_ready[new_phys] = complete
+                                    inflight_append([
+                                        sequence, index, 1, False, False,
+                                        None, None, False, False, None,
+                                        complete if complete > ready
+                                        else ready,
+                                        -1,
+                                    ])
+                                    sequence += 1
+                                    index += 1
                             else:
-                                group = [
-                                    sequence, pc, run, False, False, None,
-                                    None, False, False, None, ready, -1,
-                                ]
-                                inflight_append(group)
-                            sequence += run
+                                if group is not None:
+                                    group[2] += run  # count
+                                else:
+                                    group = [
+                                        sequence, pc, run, False, False,
+                                        None, None, False, False, None,
+                                        ready, -1,
+                                    ]
+                                    inflight_append(group)
+                                sequence += run
                             pc = end
                             continue
                         kind = kinds[pc]
+                        if renaming:
+                            # inline _dispatch (memory ops complete
+                            # after the cache hit latency)
+                            first, second, dest = operands[pc]
+                            issue = cycle + 1
+                            value = phys_ready[rename_map[first]]
+                            if value > issue:
+                                issue = value
+                            value = phys_ready[rename_map[second]]
+                            if value > issue:
+                                issue = value
+                            claimed = issue_slots_get(issue, 0)
+                            while claimed >= issue_width:
+                                issue += 1
+                                claimed = issue_slots_get(issue, 0)
+                            issue_slots[issue] = claimed + 1
+                            if kind == K_LOAD or kind == K_STORE:
+                                complete = issue + memory_latency
+                            else:
+                                complete = issue + 1
+                            if dest:
+                                new_phys = free_popleft()
+                                rename_of[sequence] = (
+                                    dest, new_phys, rename_map[dest],
+                                )
+                                rename_map[dest] = new_phys
+                                phys_ready[new_phys] = complete
                         if kind == K_BRANCH:
                             taken = branch_ops[pc](regs)
                             target = imms[pc]
@@ -895,6 +1017,8 @@ class PipelineSimulator:
                                 congestion = 0
                             else:
                                 branch_ready = ready
+                            if renaming and complete > branch_ready:
+                                branch_ready = complete
                             if estimator_items:
                                 assessment_flags = {}
                                 entry_assessments = []
@@ -1037,7 +1161,10 @@ class PipelineSimulator:
                             inflight_count += 1
                             inflight_append([
                                 sequence, pc - 1, 1, False, True, None,
-                                None, False, False, None, ready, -1,
+                                None, False, False, None,
+                                complete if renaming and complete > ready
+                                else ready,
+                                -1,
                             ])
                             sequence += 1
                             group = None
@@ -1045,7 +1172,13 @@ class PipelineSimulator:
                         retired += 1
                         fetched += 1
                         inflight_count += 1
-                        if group is not None:
+                        if renaming:
+                            inflight_append([
+                                sequence, pc, 1, False, False, None, None,
+                                False, False, None,
+                                complete if complete > ready else ready, -1,
+                            ])
+                        elif group is not None:
                             group[2] += 1  # count
                         else:
                             group = [
@@ -1057,6 +1190,16 @@ class PipelineSimulator:
                         pc = next_pc
                     machine.pc = pc
                     fetched_instructions += fetched
+                    if (
+                        renaming
+                        and fetched
+                        and len(issue_slots) > issue_slots_cap
+                    ):
+                        # spent slots: every later wakeup is after this
+                        # cycle (the reference prunes per dispatch, to
+                        # the same effect at every cycle boundary)
+                        for spent in [c for c in issue_slots if c < cycle]:
+                            del issue_slots[spent]
                 cycle += 1
                 if congestion:
                     congestion -= 1
@@ -1178,11 +1321,12 @@ class PipelineSimulator:
     def _retire_entry(self, entry: _Inflight) -> None:
         """Backend hook: one in-flight entry left the window at commit.
 
-        Called for every individually committed (``count == 1``) entry
-        before halt/branch handling; grouped fast-path drains never see
-        it because only the in-order backend groups entries.  The
-        out-of-order backend frees the retiring instruction's previous
-        physical-register mapping here."""
+        Called by the reference engine for every individually
+        committed (``count == 1``) entry before halt/branch handling;
+        grouped fast-path drains never see it because only the
+        in-order backend groups entries.  The out-of-order backend
+        frees the retiring instruction's previous physical-register
+        mapping here (the fused loop inlines it)."""
 
     def _resolve_branch(self, entry: _Inflight) -> None:
         self.stats.committed_branches += 1
@@ -1325,10 +1469,10 @@ class PipelineSimulator:
         ``entry`` (so a backend may re-time ``entry.ready_cycle``).
         The in-order backend does nothing -- an instruction's ready
         cycle is fixed at fetch -- which is what lets its fast path
-        group entries and skip this hook entirely.  The out-of-order
-        backend renames ``inst``'s registers, models issue-queue
-        wakeup/bandwidth, and rewrites ``entry.ready_cycle`` to the
-        data-dependent completion cycle here."""
+        group entries.  The out-of-order backend renames ``inst``'s
+        registers, models issue-queue wakeup/bandwidth, and rewrites
+        ``entry.ready_cycle`` to the data-dependent completion cycle
+        here (the fused loop inlines it)."""
 
     def _fetch_branch(self, entry: _Inflight, taken: bool, target: int) -> None:
         """Predict, assess and record one fetched conditional branch.

@@ -19,14 +19,16 @@ depends on anything but the program text, so this module performs it
   operands bound (``plain_ops`` mutate the register file directly;
   ``branch_ops`` evaluate the branch condition), eliminating the
   category dispatch and the ``evaluate_alu``/``branch_taken`` if-chains
-  from the hot loop.
+  from the hot loop,
+* ``operands[pc]`` holds the registers the out-of-order backend renames
+  (two sources and a destination, see :func:`rename_operands`).
 
 The packed arrays are picklable and cached as a first-class artifact
 kind (``program-decoded``), keyed like the ``trace`` artifact, so the
 DAG scheduler warms one per workload and every pipeline consumer
-shares it.  The closures are process-local: a cache-loaded instance
-rebuilds them lazily from the arrays (the :class:`ColumnarTrace` memo
-convention).
+shares it.  The closures and the operand table are process-local: a
+cache-loaded instance rebuilds them lazily from the arrays (the
+:class:`ColumnarTrace` memo convention).
 
 Executing a plain closure is **exactly** ``Machine.step`` minus the
 bookkeeping the caller batches (``pc`` advance and
@@ -40,9 +42,16 @@ from __future__ import annotations
 
 import os
 from functools import lru_cache
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
-from ..isa.instructions import SIGN_BIT, WORD_MASK, Instruction, OpCategory, Opcode
+from ..isa.instructions import (
+    LINK_REG,
+    SIGN_BIT,
+    WORD_MASK,
+    Instruction,
+    OpCategory,
+    Opcode,
+)
 from ..isa.program import Program
 
 #: Environment switch: set to 0/false/no/off to force the reference
@@ -277,7 +286,8 @@ _KIND_BY_CATEGORY = {
 }
 
 
-def _instruction_kind(instruction: Instruction) -> int:
+def instruction_kind(instruction: Instruction) -> int:
+    """The ``K_*`` kind of one instruction."""
     opcode = instruction.opcode
     category = opcode.category
     if category is OpCategory.JUMP:
@@ -287,10 +297,40 @@ def _instruction_kind(instruction: Instruction) -> int:
     return _KIND_BY_CATEGORY[category]
 
 
+def rename_operands(
+    kind: int, opcode_name: str, rs1: int, rs2: int, rd: int
+) -> Tuple[int, int, int]:
+    """``(source, source, destination)`` registers one instruction
+    renames; 0 where it has no such operand.
+
+    ``r0`` stands in for "none" on both sides: it is never renamed, so
+    its physical register is ready from cycle 0 (a no-op as a source),
+    and writing it is an architectural no-op (nothing to allocate).
+    """
+    if kind == K_PLAIN:
+        category = Opcode(opcode_name).category
+        if category is OpCategory.ALU_RRR:
+            return rs1, rs2, rd
+        if category is OpCategory.ALU_RRI:
+            return rs1, 0, rd
+        if category is OpCategory.LUI:
+            return 0, 0, rd
+        return 0, 0, 0  # nop
+    if kind == K_LOAD:
+        return rs1, 0, rd
+    if kind == K_STORE or kind == K_BRANCH:
+        return rs1, rs2, 0
+    if kind == K_JR:
+        return rs1, 0, 0
+    if kind == K_JAL:
+        return 0, 0, LINK_REG
+    return 0, 0, 0  # j, halt
+
+
 class DecodedProgram:
     """One program's instructions as packed per-PC arrays + closures."""
 
-    __slots__ = _STATE_SLOTS + ("_plain_ops", "_branch_ops")
+    __slots__ = _STATE_SLOTS + ("_plain_ops", "_branch_ops", "_operands")
 
     def __init__(
         self,
@@ -313,6 +353,7 @@ class DecodedProgram:
         self.opcode_names = opcode_names
         self._plain_ops: Optional[List[Optional[Callable]]] = None
         self._branch_ops: Optional[List[Optional[Callable]]] = None
+        self._operands: Optional[List[Tuple[int, int, int]]] = None
 
     @property
     def plain_ops(self) -> List[Optional[Callable]]:
@@ -350,6 +391,24 @@ class DecodedProgram:
             self._branch_ops = ops
         return ops
 
+    @property
+    def operands(self) -> List[Tuple[int, int, int]]:
+        """Per-PC :func:`rename_operands` triples (lazily rebuilt)."""
+        table = self._operands
+        if table is None:
+            table = [
+                rename_operands(
+                    self.kinds[pc],
+                    self.opcode_names[pc],
+                    self.rs1[pc],
+                    self.rs2[pc],
+                    self.rd[pc],
+                )
+                for pc in range(self.length)
+            ]
+            self._operands = table
+        return table
+
     def __getstate__(self):
         return {slot: getattr(self, slot) for slot in _STATE_SLOTS}
 
@@ -358,13 +417,14 @@ class DecodedProgram:
             setattr(self, slot, state[slot])
         self._plain_ops = None
         self._branch_ops = None
+        self._operands = None
 
 
 def decode_program(program: Program) -> DecodedProgram:
     """Pre-decode ``program`` into a :class:`DecodedProgram`."""
     instructions = program.instructions
     length = len(instructions)
-    kinds = [_instruction_kind(instruction) for instruction in instructions]
+    kinds = [instruction_kind(instruction) for instruction in instructions]
     run_len = [0] * length
     streak = 0
     for pc in range(length - 1, -1, -1):

@@ -13,9 +13,8 @@ execution model:
   ``NUM_REGISTERS + window`` (so the free list can never run dry while
   the active list bounds in-flight work); ``r0`` is never renamed,
 * **active list**: the in-flight deque itself, bounded by the
-  configurable ``window`` (instructions, not groups -- this backend
-  always fetches per-instruction on the reference path), with each
-  entry's previous mapping kept for in-order release at retire,
+  configurable ``window`` (instructions, never grouped entries), with
+  each entry's previous mapping kept for in-order release at retire,
 * **issue queue**: every dispatched instruction computes its wakeup
   cycle from its source operands' physical-register ready cycles, then
   claims the first issue slot at or after wakeup with free bandwidth
@@ -28,7 +27,8 @@ execution model:
 * **squash on mispredict**: recovery walks the active list youngest ->
   oldest undoing rename-map updates and returning freshly allocated
   physical registers (the R10K's exception-rollback walk, applied to
-  branches), then defers to the front end's machine-snapshot restore.
+  branches), clears the issue-slot ledger, then defers to the front
+  end's machine-snapshot restore.
 
 Because branches now *resolve at their data-dependent completion
 cycle* rather than a fixed ``resolve_stage`` after fetch, wrong-path
@@ -39,13 +39,18 @@ observed at every misprediction recovery is accumulated in
 ``stats.extra`` (see :data:`DEPTH_HISTOGRAM_KEY`) so reports can put
 the two backends' distance distributions side by side.
 
-The backend deliberately runs the **reference fetch path only**
-(``fast=False``): per-instruction entries are what rename and issue
-model, and with a single engine the fast/slow byte-identity question
-disappears by construction.  All timing state is plain lists/dicts, so
-the whole-simulator pickle snapshots of
+Both pipeline engines run this backend.  The fused loop
+(:meth:`~repro.pipeline.core.PipelineSimulator._run_fast`, ``run``'s
+default) inlines the three hooks below over the decoded program, taking
+each instruction's registers from
+:attr:`~repro.pipeline.decode.DecodedProgram.operands`; the hooks
+themselves are the reference engine (``step_cycle``,
+``REPRO_PIPELINE_FAST=0``).  Either way every instruction keeps its own
+in-flight entry, since each has its own completion cycle.  All timing
+state is plain lists/dicts, so the whole-simulator pickle snapshots of
 :mod:`repro.pipeline.snapshot` -- and therefore segmented runs and
-``--resume`` -- work unchanged.
+``--resume`` -- work unchanged, and a run may switch engines at any
+cycle boundary.
 """
 
 from __future__ import annotations
@@ -56,17 +61,11 @@ from typing import Deque, Dict, List, Mapping, Optional, Tuple
 
 from ..confidence.base import ConfidenceEstimator
 from ..isa import Program
-from ..isa.instructions import (
-    LINK_REG,
-    NUM_REGISTERS,
-    ZERO_REG,
-    Instruction,
-    OpCategory,
-    Opcode,
-)
+from ..isa.instructions import NUM_REGISTERS, Instruction
 from ..predictors.base import BranchPredictor
 from .config import PipelineConfig
-from .core import PipelineSimulator, _Inflight
+from .core import DEPTH_HISTOGRAM_KEY, PipelineSimulator, _Inflight
+from .decode import K_LOAD, K_STORE, DecodedProgram, instruction_kind, rename_operands
 
 #: Default out-of-order active-list capacity (instructions in flight).
 OOO_WINDOW = 256
@@ -74,9 +73,6 @@ OOO_WINDOW = 256
 OOO_ISSUE_WIDTH = 8
 #: Default retire bandwidth (instructions leaving the window per cycle).
 OOO_COMMIT_WIDTH = 8
-#: ``stats.extra`` key holding the {window depth -> mispredict count}
-#: histogram recorded at every misprediction recovery.
-DEPTH_HISTOGRAM_KEY = "ooo_mispredict_window_depth"
 
 
 class OutOfOrderSimulator(PipelineSimulator):
@@ -85,9 +81,8 @@ class OutOfOrderSimulator(PipelineSimulator):
     ``window``/``issue_width``/``commit_width`` size the active list,
     the issue bandwidth and the retire bandwidth; the base
     :class:`~repro.pipeline.config.PipelineConfig` supplies everything
-    else (fetch width, caches, penalties).  ``decoded``/``fast`` are
-    accepted for interface compatibility but ignored: this backend
-    always fetches on the per-instruction reference path.
+    else (fetch width, caches, penalties).  ``decoded``/``fast`` select
+    ``run``'s engine exactly as for the in-order core.
     """
 
     def __init__(
@@ -96,7 +91,7 @@ class OutOfOrderSimulator(PipelineSimulator):
         predictor: BranchPredictor,
         config: Optional[PipelineConfig] = None,
         estimators: Optional[Mapping[str, ConfidenceEstimator]] = None,
-        decoded=None,
+        decoded: Optional[DecodedProgram] = None,
         fast: Optional[bool] = None,
         window: int = OOO_WINDOW,
         issue_width: int = OOO_ISSUE_WIDTH,
@@ -116,8 +111,8 @@ class OutOfOrderSimulator(PipelineSimulator):
             predictor,
             config=replace(base, window=window, commit_width=commit_width),
             estimators=estimators,
-            decoded=None,
-            fast=False,
+            decoded=decoded,
+            fast=fast,
         )
         self.issue_width = issue_width
         num_phys = NUM_REGISTERS + window
@@ -134,22 +129,22 @@ class OutOfOrderSimulator(PipelineSimulator):
         self._issue_slots: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
-    # backend hooks
+    # backend hooks (the reference engine; _run_fast inlines them)
     # ------------------------------------------------------------------
 
     def _dispatch(self, entry: _Inflight, inst: Instruction) -> None:
         """Rename + enqueue one fetched instruction; re-time its entry."""
         cycle = self._cycle
-        reads, writes, is_memory = _operand_shape(inst)
-        latency = self.config.cache_hit_latency if is_memory else 1
+        kind = instruction_kind(inst)
+        first, second, dest = rename_operands(
+            kind, inst.opcode.value, inst.rs1, inst.rs2, inst.rd
+        )
         rename_map = self._rename_map
         phys_ready = self._phys_ready
         # wakeup: earliest cycle every source operand is available
         # (dispatch itself takes the cycle after fetch)
         wakeup = cycle + 1
-        for reg in reads:
-            if reg == ZERO_REG:
-                continue
+        for reg in (first, second):
             ready = phys_ready[rename_map[reg]]
             if ready > wakeup:
                 wakeup = ready
@@ -161,22 +156,23 @@ class OutOfOrderSimulator(PipelineSimulator):
         while slots.get(issue, 0) >= width:
             issue += 1
         slots[issue] = slots.get(issue, 0) + 1
-        complete = issue + latency
-        if writes != ZERO_REG and writes >= 0:
+        if kind == K_LOAD or kind == K_STORE:
+            complete = issue + self.config.cache_hit_latency
+        else:
+            complete = issue + 1
+        if dest:
             new_phys = self._free_regs.popleft()
-            self._rename_of[entry.sequence] = (
-                writes,
-                new_phys,
-                rename_map[writes],
-            )
-            rename_map[writes] = new_phys
+            self._rename_of[entry.sequence] = (dest, new_phys, rename_map[dest])
+            rename_map[dest] = new_phys
             phys_ready[new_phys] = complete
         # the front end's ready cycle (resolve depth + any congestion
         # charge) is the floor; data dependences can only delay it
         if complete > entry.ready_cycle:
             entry.ready_cycle = complete
         if len(slots) > 4 * self.config.window:
-            self._prune_issue_slots(cycle)
+            # spent slots: every later wakeup is after this cycle
+            for spent in [c for c in slots if c < cycle]:
+                del slots[spent]
 
     def _retire_entry(self, entry: _Inflight) -> None:
         """Free the retiring writer's previous physical register."""
@@ -205,45 +201,12 @@ class OutOfOrderSimulator(PipelineSimulator):
             arch, new_phys, old_phys = info
             rename_map[arch] = old_phys
             self._free_regs.appendleft(new_phys)
-        # squashed instructions release their claimed issue ports
-        self._prune_issue_slots(self._cycle, future=True)
+        # The whole issue-slot ledger can go, not just the squashed
+        # claims: recovery stalls fetch until at least cycle + 1 +
+        # mispredict_penalty, and every later dispatch wakes up at least
+        # one cycle after its own dispatch cycle, so no slot at or below
+        # this cycle is read again -- and every claim above it belongs
+        # to a squashed instruction (older ones all committed, so they
+        # issued before this cycle).
+        self._issue_slots.clear()
         super()._recover_from(entry)
-
-    # ------------------------------------------------------------------
-    # helpers
-    # ------------------------------------------------------------------
-
-    def _prune_issue_slots(self, cycle: int, future: bool = False) -> None:
-        """Drop spent (< ``cycle``) -- and, on squash, reserved future
-        (> ``cycle``) -- entries from the issue-port ledger."""
-        slots = self._issue_slots
-        if future:
-            stale = [c for c in slots if c > cycle]
-        else:
-            stale = [c for c in slots if c < cycle]
-        for c in stale:
-            del slots[c]
-
-
-def _operand_shape(inst: Instruction) -> Tuple[Tuple[int, ...], int, bool]:
-    """(source regs, destination reg or -1, goes through the D-cache)."""
-    category = inst.opcode.category
-    if category is OpCategory.ALU_RRR:
-        return (inst.rs1, inst.rs2), inst.rd, False
-    if category is OpCategory.ALU_RRI:
-        return (inst.rs1,), inst.rd, False
-    if category is OpCategory.LUI:
-        return (), inst.rd, False
-    if category is OpCategory.LOAD:
-        return (inst.rs1,), inst.rd, True
-    if category is OpCategory.STORE:
-        return (inst.rs1, inst.rs2), -1, True
-    if category is OpCategory.BRANCH:
-        return (inst.rs1, inst.rs2), -1, False
-    if category is OpCategory.JUMP:
-        if inst.opcode is Opcode.JAL:
-            return (), LINK_REG, False
-        return (), -1, False
-    if category is OpCategory.JUMP_REGISTER:
-        return (inst.rs1,), -1, False
-    return (), -1, False  # SYSTEM: halt/nop

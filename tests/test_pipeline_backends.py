@@ -30,6 +30,7 @@ from hypothesis import strategies as st
 
 from repro.confidence import JRSEstimator, MispredictionDistanceEstimator
 from repro.engine import workload_program
+from repro.harness import SMOKE, plan_artifact_nodes
 from repro.isa import Machine
 from repro.isa.instructions import NUM_REGISTERS
 from repro.pipeline import (
@@ -39,8 +40,8 @@ from repro.pipeline import (
     OutOfOrderSimulator,
     PipelineConfig,
     PipelineSimulator,
-    backend_uses_decoded,
     create_simulator,
+    decode_program,
     normalize_backend,
     register_backend,
 )
@@ -52,7 +53,11 @@ from repro.workloads.generator import generate_program
 
 # reuse the fuzz suite's program/geometry strategies so both nets see
 # the same adversarial workload space
-from test_pipeline_fuzz import pipeline_configs, workload_profiles
+from test_pipeline_fuzz import (
+    assert_same_backend_state,
+    pipeline_configs,
+    workload_profiles,
+)
 
 
 # ----------------------------------------------------------------------
@@ -94,9 +99,35 @@ class TestBackendRegistry:
         with pytest.raises(TypeError, match="PipelineSimulator"):
             register_backend("bogus", object)
 
-    def test_backend_uses_decoded(self):
-        assert backend_uses_decoded("inorder")
-        assert not backend_uses_decoded("ooo")
+    def test_every_backend_reads_the_decoded_program(self):
+        # both backends run the fused loop over the shared decode, so
+        # the DAG plans a program-decoded node whatever the backend
+        program = workload_program("compress", 5)
+        decoded = decode_program(program)
+        for backend in BACKEND_NAMES:
+            simulator = create_simulator(
+                program,
+                make_predictor("gshare"),
+                backend=backend,
+                decoded=decoded,
+                fast=True,
+            )
+            assert simulator._decoded is decoded
+            reference = create_simulator(
+                program, make_predictor("gshare"), backend=backend, fast=False
+            )
+            assert reference._decoded is None
+            scale = dataclasses.replace(SMOKE, backend=backend)
+            pipelines = [
+                node
+                for node in plan_artifact_nodes(["fig6"], scale)
+                if node.key[0] == "pipeline"
+            ]
+            assert pipelines
+            for node in pipelines:
+                workload = node.key[1][0]
+                decode = ("program-decoded", (workload, scale.iterations))
+                assert decode in node.deps
 
     def test_ooo_rejects_degenerate_geometry(self):
         program = workload_program("compress", 5)
@@ -210,17 +241,20 @@ def test_inorder_fast_and_reference_identical_after_refactor(
 def test_ooo_whole_segmented_and_pickled_identical(
     profile, config, predictor_name, with_estimators
 ):
-    """The same OoO cell run whole, paused at instruction boundaries,
-    and pickle-round-tripped at every pause produces identical digests
-    and matches the golden machine's architectural state."""
+    """The same OoO cell run whole on the fused engine, whole on the
+    reference engine, paused at instruction boundaries, and
+    pickle-round-tripped at every pause produces identical digests and
+    rename state, and matches the golden machine's architectural
+    state."""
     program = generate_program(profile)
 
-    def build():
+    def build(fast=True):
         return OutOfOrderSimulator(
             program,
             make_predictor(predictor_name),
             config=config,
             estimators=_estimators(with_estimators),
+            fast=fast,
             window=64,
             issue_width=4,
             commit_width=4,
@@ -228,6 +262,9 @@ def test_ooo_whole_segmented_and_pickled_identical(
 
     whole = build()
     whole_digest = _digest(whole, whole.run())
+    reference = build(fast=False)
+    assert _digest(reference, reference.run()) == whole_digest
+    assert_same_backend_state(reference, whole)
     total = whole.machine.instructions_retired
 
     stops = [s for s in (total // 3, 2 * total // 3) if 0 < s < total]
@@ -237,6 +274,7 @@ def test_ooo_whole_segmented_and_pickled_identical(
         split = pickle.loads(pickle.dumps(split))
     split_digest = _digest(split, split.run())
     assert split_digest == whole_digest
+    assert_same_backend_state(split, whole)
 
     golden = Machine(program)
     golden.run()

@@ -24,6 +24,7 @@ import pytest
 
 from repro.confidence import JRSEstimator
 from repro.pipeline import (
+    BACKENDS,
     PIPELINE_FAST_ENV,
     BranchRecordStore,
     CacheConfig,
@@ -37,7 +38,10 @@ from repro.pipeline import (
 from repro.isa import assemble
 from repro.predictors import GsharePredictor, McFarlingPredictor, make_predictor
 from repro.speculation import EagerPipelineSimulator, GatedPipelineSimulator
+from repro.speculation.dualpath import EAGER_SIMULATORS
 from repro.workloads import generate_program, get_profile
+
+from test_pipeline_fuzz import assert_same_backend_state
 
 RECORD_FIELDS = (
     "sequence",
@@ -197,9 +201,10 @@ class TestFastSlowIdentity:
         assert fused == [simulator]
 
     def test_early_stop_then_step_cycle_continues_identically(self):
-        for policy in ("none", "fork"):
-            for stop in ("max_instructions", "stop_instructions"):
-                self._check_fused_step_cycle_fused(policy, stop)
+        for backend in ("inorder", "ooo"):
+            for policy in ("none", "fork"):
+                for stop in ("max_instructions", "stop_instructions"):
+                    self._check_fused_step_cycle_fused(policy, stop, backend)
         # a one-wide fetch over three I-cache lines that share one
         # 2-way set: here a stale most-recent-line memo skips an LRU
         # update and later evicts the wrong line, at many pause points
@@ -224,7 +229,7 @@ class TestFastSlowIdentity:
                     reference, expected, simulator, simulator.run()
                 )
 
-    def _check_fused_step_cycle_fused(self, policy, stop):
+    def _check_fused_step_cycle_fused(self, policy, stop, backend):
         # a fused run stopped early leaves normal _Inflight entries that
         # step_cycle() continues and a second fused run picks up again,
         # ending in exactly the state of a reference run -- cache
@@ -232,13 +237,14 @@ class TestFastSlowIdentity:
         # loop's most-recent-line memo), and compact prediction tokens
         # when no estimator is attached.  A hard budget truncates the
         # last commit group, so the reference run takes the same stop;
-        # a soft pause is invisible, so it runs uninterrupted.
+        # a soft pause is invisible, so it runs uninterrupted.  On the
+        # OoO backend the rename state crosses both engine switches.
         program = small_program()
         runs = []
         for fast in (False, True):
             predictor = GsharePredictor()
             if policy == "fork":
-                simulator = EagerPipelineSimulator(
+                simulator = EAGER_SIMULATORS[backend](
                     program,
                     predictor,
                     estimators={"fork": JRSEstimator(threshold=15)},
@@ -246,7 +252,7 @@ class TestFastSlowIdentity:
                     fast=fast,
                 )
             else:
-                simulator = PipelineSimulator(program, predictor, fast=fast)
+                simulator = BACKENDS[backend](program, predictor, fast=fast)
             if fast or stop == "max_instructions":
                 simulator.run(**{stop: 900})
             if fast:
@@ -255,6 +261,7 @@ class TestFastSlowIdentity:
             runs.append((simulator, simulator.run()))
         assert_equivalent(*runs[0], *runs[1])
         slow_sim, fast_sim = runs[0][0], runs[1][0]
+        assert_same_backend_state(slow_sim, fast_sim)
         assert fast_sim.done
         if policy == "fork":
             assert slow_sim.eager_forks == fast_sim.eager_forks > 0

@@ -26,9 +26,17 @@ from repro.confidence import (
 )
 from repro.engine import trace_branches
 from repro.isa import Machine
-from repro.pipeline import CacheConfig, PipelineConfig, PipelineSimulator
+from repro.pipeline import (
+    DEPTH_HISTOGRAM_KEY,
+    CacheConfig,
+    OutOfOrderSimulator,
+    PipelineConfig,
+    PipelineSimulator,
+)
 from repro.predictors import make_predictor
-from repro.speculation import EagerPipelineSimulator, GatedPipelineSimulator
+from repro.speculation import EagerPipelineSimulator
+from repro.speculation.dualpath import EAGER_SIMULATORS
+from repro.speculation.gating import GATED_SIMULATORS
 from repro.workloads.generator import GuardSpec, WorkloadProfile, generate_program
 from repro.workloads.sites import (
     AlternatingSite,
@@ -153,24 +161,53 @@ def test_pipeline_equals_machine_on_random_programs(profile, config, predictor_n
         assert (record.resolve_cycle is not None) == record.committed
 
 
-@settings(max_examples=20, deadline=None)
+def assert_same_backend_state(slow_sim, fast_sim):
+    """Out-of-order timing state left by two engines is identical: the
+    depth histogram, the rename map, free list (order included),
+    in-flight writers, physical-register ready cycles and issue-slot
+    ledger (the in-order core has none of them)."""
+    assert slow_sim.stats.extra.get(DEPTH_HISTOGRAM_KEY) == (
+        fast_sim.stats.extra.get(DEPTH_HISTOGRAM_KEY)
+    )
+    if not isinstance(slow_sim, OutOfOrderSimulator):
+        assert DEPTH_HISTOGRAM_KEY not in fast_sim.stats.extra
+        return
+    assert slow_sim._rename_map == fast_sim._rename_map
+    assert list(slow_sim._free_regs) == list(fast_sim._free_regs)
+    assert slow_sim._rename_of == fast_sim._rename_of
+    assert slow_sim._phys_ready == fast_sim._phys_ready
+    assert slow_sim._issue_slots == fast_sim._issue_slots
+
+
+def quadrant_tables(result):
+    """Both estimator quadrant maps of a result, as plain dicts."""
+    return [
+        {name: vars(counts) for name, counts in table.items()}
+        for table in (result.quadrants_committed, result.quadrants_all)
+    ]
+
+
+@settings(max_examples=40, deadline=None)
 @given(
     workload_profiles(),
     pipeline_configs(),
     st.sampled_from(("gshare", "mcfarling", "sag")),
     st.booleans(),
     st.sampled_from((None, 7, 60, 500)),
+    st.sampled_from(("inorder", "ooo")),
 )
 def test_fast_engine_equals_reference_engine(
-    profile, config, predictor_name, with_estimators, budget
+    profile, config, predictor_name, with_estimators, budget, backend
 ):
     """Fast/slow byte identity under fuzzed programs and geometries.
 
     Covers early stops (``budget``), misprediction recovery (random
     predictors on random branch mixes) and cache-miss congestion (the
     tiny fuzz cache geometries miss constantly), with and without
-    estimators attached -- the full cross product the golden CI report
-    legs only sample.
+    estimators attached, on both backends -- the full cross product the
+    golden CI report legs only sample.  The OoO core takes the fuzzed
+    window and commit width, and an issue width of half the fetch
+    width, so narrow geometries contend for issue slots.
     """
     program = generate_program(profile)
     runs = []
@@ -180,16 +217,30 @@ def test_fast_engine_equals_reference_engine(
             if with_estimators
             else {}
         )
-        simulator = PipelineSimulator(
-            program,
-            make_predictor(predictor_name),
-            config=config,
-            estimators=estimators,
-            fast=fast,
-        )
+        if backend == "ooo":
+            simulator = OutOfOrderSimulator(
+                program,
+                make_predictor(predictor_name),
+                config=config,
+                estimators=estimators,
+                fast=fast,
+                window=config.window,
+                issue_width=max(1, config.fetch_width // 2),
+                commit_width=config.commit_width,
+            )
+        else:
+            simulator = PipelineSimulator(
+                program,
+                make_predictor(predictor_name),
+                config=config,
+                estimators=estimators,
+                fast=fast,
+            )
         runs.append((simulator, simulator.run(max_instructions=budget)))
     (slow_sim, slow), (fast_sim, fast) = runs
     assert dataclasses.asdict(slow.stats) == dataclasses.asdict(fast.stats)
+    assert_same_backend_state(slow_sim, fast_sim)
+    assert quadrant_tables(slow) == quadrant_tables(fast)
     assert slow_sim.machine.regs == fast_sim.machine.regs
     assert slow_sim.machine.memory == fast_sim.machine.memory
     assert slow_sim.machine.pc == fast_sim.machine.pc
@@ -260,7 +311,7 @@ def _gate_estimator(kind):
     return BoostedEstimator(MispredictionDistanceEstimator(3), k=2)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     workload_profiles(),
     pipeline_configs(),
@@ -269,15 +320,17 @@ def _gate_estimator(kind):
     st.sampled_from(("jrs", "distance", "boosted")),
     st.sampled_from((None, 7, 60, 500)),
     st.sampled_from((None, 5, 40, 300)),
+    st.sampled_from(("inorder", "ooo")),
 )
 def test_fused_gated_run_equals_per_cycle_gated_run(
-    profile, config, policy, setting, estimator_kind, budget, pause
+    profile, config, policy, setting, estimator_kind, budget, pause, backend
 ):
     """The fused loop applies each speculation-control policy exactly
     as the per-cycle reference engine does -- the gate (``setting`` =
-    threshold) and the dual-path fork (``setting`` = switch penalty):
-    same stats, same policy counters, same branch records -- including
-    an early ``max_instructions`` stop and a resume after a soft
+    threshold) and the dual-path fork (``setting`` = switch penalty),
+    over either backend: same stats, same policy counters, same branch
+    records and quadrants, same OoO rename state -- including an early
+    ``max_instructions`` stop and a resume after a soft
     ``stop_instructions`` pause."""
     program = generate_program(profile)
     runs = []
@@ -288,7 +341,7 @@ def test_fused_gated_run_equals_per_cycle_gated_run(
             "policy": _gate_estimator(estimator_kind),
         }
         if policy == "gate":
-            simulator = GatedPipelineSimulator(
+            simulator = GATED_SIMULATORS[backend](
                 program,
                 predictor,
                 config=config,
@@ -298,7 +351,7 @@ def test_fused_gated_run_equals_per_cycle_gated_run(
                 fast=fast,
             )
         else:
-            simulator = EagerPipelineSimulator(
+            simulator = EAGER_SIMULATORS[backend](
                 program,
                 predictor,
                 config=config,
@@ -326,5 +379,7 @@ def test_fused_gated_run_equals_per_cycle_gated_run(
             fast_sim.eager_wasted_slots,
         )
     assert slow.branch_records == fast.branch_records
+    assert quadrant_tables(slow) == quadrant_tables(fast)
+    assert_same_backend_state(slow_sim, fast_sim)
     assert slow_sim.machine.regs == fast_sim.machine.regs
     assert slow_sim.machine.memory == fast_sim.machine.memory
