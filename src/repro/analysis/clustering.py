@@ -11,25 +11,20 @@ Two measurements back the paper's boosting argument:
   low-confidence estimates" events versus the Bernoulli prediction
   ``1 - (1 - PVN)^k``.
 
-Both are built on small observer classes that track *one* estimator by
-name in the flag mapping :func:`repro.engine.measure.measure` hands
-every observer.  Earlier versions unpacked ``flags.values()`` and
-assumed exactly one estimator was attached, which crashed any
-measurement carrying zero or several estimators -- exactly what the
-speculation-control sweeps do.  The observers skip branches measured
-without their estimator attached, so they compose with arbitrary
-multi-estimator measurements.
+Both are computed from one :class:`~repro.engine.measure.Bank` feed's
+flag columns (kernels or scalar loop alike).  The observer classes
+below are their streaming forms for ``measure(..., observers=)``: each
+tracks *one* estimator by name and skips branches measured without
+it, so they compose with multi-estimator measurements.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Dict, Iterable, List, Tuple
 
 from ..confidence.base import ConfidenceEstimator
 from ..confidence.boosting import BoostingAccumulator, BoostingResult
-from ..engine import boosting_counts, misestimation_pairs, record_simulation
-from ..engine.measure import measure
+from ..engine import Bank, boosting_counts, misestimation_pairs
 from ..predictors.base import BranchPredictor
 from .distance import DistanceCurve, _curve_from_pairs
 
@@ -100,14 +95,9 @@ def misestimation_distance(
     The flatter this curve, the better the Bernoulli approximation
     behind boosting.
     """
-    started = time.perf_counter()
-    pairs = misestimation_pairs(trace, predictor, estimator)
-    if pairs is not None:
-        record_simulation(len(pairs), time.perf_counter() - started)
-        return _curve_from_pairs(pairs, "mis-estimation", max_distance)
-    observer = MisestimationDistanceObserver(DEFAULT_SLOT)
-    measure(trace, predictor, {DEFAULT_SLOT: estimator}, observers=[observer])
-    return _curve_from_pairs(observer.pairs, "mis-estimation", max_distance)
+    correct, high = Bank(predictor, {DEFAULT_SLOT: estimator}).feed(trace)
+    pairs = misestimation_pairs(high[0], correct)
+    return _curve_from_pairs(pairs, "mis-estimation", max_distance)
 
 
 def measure_boosting(
@@ -117,22 +107,15 @@ def measure_boosting(
     ks: List[int] = (1, 2, 3),
 ) -> List[BoostingResult]:
     """Empirical boosted PVN of ``estimator`` for each window size."""
-    started = time.perf_counter()
-    counted = boosting_counts(trace, predictor, estimator, list(ks))
-    if counted is not None:
-        rows, lc_branches, lc_mispredictions, branches = counted
-        record_simulation(branches, time.perf_counter() - started)
-        base_pvn = lc_mispredictions / lc_branches if lc_branches else 0.0
-        return [
-            BoostingResult(
-                k=k,
-                base_pvn=base_pvn,
-                events=events,
-                events_with_misprediction=hits,
-            )
-            for k, events, hits in rows
-        ]
-    accumulator = BoostingAccumulator(list(ks))
-    observer = BoostingObserver(accumulator, DEFAULT_SLOT)
-    measure(trace, predictor, {DEFAULT_SLOT: estimator}, observers=[observer])
-    return accumulator.results()
+    correct, high = Bank(predictor, {DEFAULT_SLOT: estimator}).feed(trace)
+    rows, lc_branches, lc_mispredictions = boosting_counts(high[0], correct, ks)
+    base_pvn = lc_mispredictions / lc_branches if lc_branches else 0.0
+    return [
+        BoostingResult(
+            k=k,
+            base_pvn=base_pvn,
+            events=events,
+            events_with_misprediction=hits,
+        )
+        for k, events, hits in rows
+    ]

@@ -45,6 +45,10 @@ def lick_confident_patterns(history_bits: int) -> FrozenSet[int]:
     return frozenset(patterns)
 
 
+class NoHistoryRegister(TypeError):
+    """The predictor has no history register for patterns to match."""
+
+
 class PatternHistoryEstimator(ConfidenceEstimator):
     """Fixed confident-pattern matcher over the consulted history."""
 
@@ -68,7 +72,7 @@ class PatternHistoryEstimator(ConfidenceEstimator):
         history_bits = getattr(predictor, "history_bits", None)
         if history_bits:  # PAs-style tagged local histories
             return cls(history_bits=history_bits)
-        raise TypeError(
+        raise NoHistoryRegister(
             f"predictor {predictor.name!r} exposes no history register"
         )
 

@@ -13,10 +13,9 @@ the ``trace`` artifact it derives from, so the DAG scheduler warms it
 once per workload and every consumer (estimator bank, sweeps,
 clustering, static profiling) shares the same arrays.
 
-A :class:`ColumnarTrace` additionally carries two in-process memo
-dictionaries (predictor passes and estimator flag columns, managed by
-:mod:`repro.engine.vector`).  They are deliberately excluded from
-pickling: a cache-loaded instance starts with empty memos.
+A :class:`ColumnarTrace` additionally carries an in-process memo of
+predictor passes (managed by :mod:`repro.engine.vector`), excluded
+from pickling: a cache-loaded instance starts with an empty memo.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ try:  # numpy is a core dependency, but degrade loudly, not at import
 except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
 
-#: Slots that survive pickling (the two trailing memo dicts do not).
+#: Slots that survive pickling (the trailing memo dict does not).
 _STATE_SLOTS = ("name", "pcs", "taken", "targets", "sites", "site_index")
 
 
@@ -51,7 +50,7 @@ class ColumnarTrace:
         ``int64[n]`` index into ``sites`` per dynamic branch.
     """
 
-    __slots__ = _STATE_SLOTS + ("_predict_memo", "_flag_memo")
+    __slots__ = _STATE_SLOTS + ("_predict_memo",)
 
     def __init__(self, name, pcs, taken, targets, sites, site_index):
         self.name = name
@@ -61,7 +60,6 @@ class ColumnarTrace:
         self.sites = sites
         self.site_index = site_index
         self._predict_memo = {}
-        self._flag_memo = {}
 
     def __len__(self) -> int:
         return int(self.pcs.shape[0])
@@ -77,7 +75,6 @@ class ColumnarTrace:
         for slot in _STATE_SLOTS:
             setattr(self, slot, state[slot])
         self._predict_memo = {}
-        self._flag_memo = {}
 
 
 def lower_trace(trace, program=None, name: Optional[str] = None) -> ColumnarTrace:

@@ -10,13 +10,14 @@ Running all estimators of an experiment in one pass keeps every
 estimator's view identical (same predictor state stream) and amortises
 the predictor simulation, which dominates the cost.
 
-Two engines produce bit-identical results: the scalar per-branch loop
-(:func:`measure`) and the vectorized columnar path
-(:func:`measure_bank_vectorized`, built on
-:mod:`repro.engine.vector`).  :func:`measure_bank` dispatches between
-them automatically -- columnar traces take the vector path when every
-piece has a kernel, and anything unsupported falls back to the scalar
-loop, wholesale or per estimator.
+A resumable :class:`Bank` is that pass: the battery feeds it whole
+traces (:func:`measure_bank`), a serving session one batch at a time.
+``feed`` has two bit-identical engines: the array kernels of
+:mod:`repro.engine.vector` for columnar traces over a predictor with a
+vector scan, else the scalar loop of :func:`measure` -- the only
+per-branch loop, and the reference the kernels are tested against.
+Both return per-branch flag columns, and every quadrant table is
+counted from those columns.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .vector import (
     estimator_flags,
     fallback_flags,
     predict_columns,
-    supports_estimator,
     supports_predictor,
     vector_enabled,
 )
@@ -148,44 +148,46 @@ def measure(
     The predictor and estimators are consumed (their state evolves);
     pass fresh instances for independent measurements.
     """
-    quadrants = {name: QuadrantCounts() for name in estimators}
-    estimator_items = list(estimators.items())
+    bank = Bank(predictor, estimators)
+    started = time.perf_counter()
+    bank._count(*_replay(trace, predictor, estimators, observers))
+    elapsed = time.perf_counter() - started
+    record_simulation(branches=bank.branches, seconds=elapsed)
+    return bank.result(elapsed)
+
+
+def _replay(trace, predictor, estimators, observers=()):
+    """The per-branch loop: predict, estimate, resolve, one branch at
+    a time -- the only one in the repo, and the kernels' reference.
+
+    Returns ``(correct, high)``: per-branch bool columns, ``high`` with
+    one row per estimator in ``estimators`` order.
+    """
+    names = list(estimators)
+    items = list(estimators.values())
     predict = predictor.predict
     predictor_resolve = predictor.resolve
-    branches = 0
-    mispredictions = 0
-    started = time.perf_counter()
+    correct = bytearray()
+    assessed = bytearray()  # one byte per flag, branch-major
 
     for pc, taken in trace:
         prediction = predict(pc)
-        assessments = [
-            (name, estimator, estimator.estimate(pc, prediction))
-            for name, estimator in estimator_items
-        ]
+        assessments = [estimator.estimate(pc, prediction) for estimator in items]
+        flags = [assessment.high_confidence for assessment in assessments]
         if observers:
-            flags = {
-                name: assessment.high_confidence
-                for name, __, assessment in assessments
-            }
+            named = dict(zip(names, flags))
             for observer in observers:
-                observer(pc, prediction.taken, taken, flags)
-        correct = prediction.taken == taken
-        branches += 1
-        if not correct:
-            mispredictions += 1
+                observer(pc, prediction.taken, taken, named)
+        correct.append(prediction.taken == taken)
+        assessed.extend(flags)
         predictor_resolve(pc, taken, prediction)
-        for name, estimator, assessment in assessments:
+        for estimator, assessment in zip(items, assessments):
             estimator.resolve(pc, prediction, taken, assessment)
-            quadrants[name].record(correct, assessment.high_confidence)
 
-    elapsed = time.perf_counter() - started
-    record_simulation(branches=branches, seconds=elapsed)
-    return MeasurementResult(
-        predictor_name=predictor.name,
-        branches=branches,
-        mispredictions=mispredictions,
-        quadrants=quadrants,
-        elapsed_s=elapsed,
+    high = np.frombuffer(assessed, dtype=np.uint8).astype(bool)
+    return (
+        np.frombuffer(correct, dtype=bool),
+        high.reshape(len(correct), len(items)).T,
     )
 
 
@@ -196,75 +198,111 @@ def measure_accuracy(
     return measure(trace, predictor, {})
 
 
-def measure_bank_vectorized(
-    trace: ColumnarTrace,
-    predictor: BranchPredictor,
-    estimators: Mapping[str, ConfidenceEstimator],
-    subsumes: int = 1,
-    observers: Sequence[Observer] = (),
-) -> MeasurementResult:
-    """One-pass estimator bank over a columnar trace via array kernels.
-
-    Bit-identical to :func:`measure_bank` over the same branch stream:
-    identical :class:`QuadrantCounts` (including float representation),
-    misprediction counts, and observer callbacks in trace order.
-    Raises :class:`UnsupportedVectorization` -- before consuming any
-    state -- when the predictor has no vector scan; estimators without
-    a kernel are driven per branch via :func:`fallback_flags` and
-    accounted under ``sim.scalar_fallback_branches``.
-    """
-    if not vector_enabled() or not isinstance(trace, ColumnarTrace):
-        raise UnsupportedVectorization("vector engine disabled")
-    if not supports_predictor(predictor):
-        raise UnsupportedVectorization(type(predictor).__name__)
-    started = time.perf_counter()
-    columns = predict_columns(trace, predictor)
-    branch_count = columns.branches
-    vector_branches = branch_count
-    fallback_branches = 0
-    flag_columns: Dict[str, object] = {}
-    for name, estimator in estimators.items():
-        if supports_estimator(estimator):
-            flag_columns[name] = estimator_flags(columns, estimator)
-            vector_branches += branch_count
-        else:
-            flag_columns[name] = fallback_flags(columns, estimator)
-            fallback_branches += branch_count
-    if observers:
-        names = list(estimators)
-        flag_lists = [flag_columns[name].tolist() for name in names]
-        pcs = columns.pcs.tolist()
-        predicted = columns.pred.tolist()
-        actual = columns.taken.tolist()
-        for i in range(branch_count):
-            flags = {name: flag_lists[j][i] for j, name in enumerate(names)}
-            for observer in observers:
-                observer(pcs[i], predicted[i], actual[i], flags)
-    correct = columns.correct
-    quadrants = {}
-    for name in estimators:
-        high = flag_columns[name]
-        quadrants[name] = QuadrantCounts(
-            c_hc=float(np.count_nonzero(correct & high)),
-            i_hc=float(np.count_nonzero(~correct & high)),
-            c_lc=float(np.count_nonzero(correct & ~high)),
-            i_lc=float(np.count_nonzero(~correct & ~high)),
-        )
-    elapsed = time.perf_counter() - started
-    record_simulation(branches=branch_count, seconds=elapsed)
-    REGISTRY.count(VECTOR_BRANCHES_METRIC, vector_branches)
-    if fallback_branches:
-        REGISTRY.count(SCALAR_FALLBACK_METRIC, fallback_branches)
-    REGISTRY.count(BANK_PASSES_METRIC)
-    if subsumes > 1:
-        REGISTRY.count(PASSES_SAVED_METRIC, subsumes - 1)
-    return MeasurementResult(
-        predictor_name=predictor.name,
-        branches=branch_count,
-        mispredictions=columns.mispredictions,
-        quadrants=quadrants,
-        elapsed_s=elapsed,
+def quadrant_table(
+    branches: int, right: int, confident: int, confident_right: int
+) -> QuadrantCounts:
+    """The quadrant table of ``branches`` predictions: ``right`` correct,
+    ``confident`` high-confidence, ``confident_right`` both.  Equal,
+    floats included, to recording the branches one at a time."""
+    return QuadrantCounts(
+        c_hc=float(confident_right),
+        i_hc=float(confident - confident_right),
+        c_lc=float(right - confident_right),
+        i_lc=float(branches - right - confident + confident_right),
     )
+
+
+def confident_counts(correct, high):
+    """Per estimator (row of ``high``): its high-confidence branches,
+    and those also ``correct`` -- a ``(2, estimators)`` int array."""
+    return np.array([high.sum(axis=1), (high & correct).sum(axis=1)])
+
+
+class Bank:
+    """One predictor and its estimators, measured concurrently (§2).
+
+    Resumable: each :meth:`feed` continues from the predictor and
+    estimator state the previous one left and adds to the running
+    ``branches``, ``mispredictions`` and ``quadrants``, so a stream fed
+    in any split lands on the counts of one whole feed.
+    """
+
+    def __init__(
+        self,
+        predictor: BranchPredictor,
+        estimators: Mapping[str, ConfidenceEstimator],
+    ):
+        self.predictor = predictor
+        self.estimators = dict(estimators)
+        self.branches = 0
+        self.mispredictions = 0
+        #: Per estimator: high-confidence branches, and those correct.
+        self._confident = np.zeros((2, len(self.estimators)), np.int64)
+
+    @property
+    def quadrants(self) -> Dict[str, QuadrantCounts]:
+        """Each estimator's quadrant table over everything fed so far."""
+        right = self.branches - self.mispredictions
+        return {
+            name: quadrant_table(self.branches, right, confident, confident_right)
+            for name, confident, confident_right in zip(
+                self.estimators, *self._confident.tolist()
+            )
+        }
+
+    def feed(self, trace: Iterable[Tuple[int, bool]]):
+        """Measure ``trace``; returns per-branch bool columns
+        ``(correct, high)``, ``high`` one row per estimator in
+        ``estimators`` order.
+
+        A columnar trace over a predictor with a vector scan takes the
+        array kernels (estimators without one are driven per branch by
+        :func:`fallback_flags`); anything else takes the scalar loop of
+        :func:`measure`.  Either way the state consumed is identical.
+        """
+        started = time.perf_counter()
+        if (
+            vector_enabled()
+            and isinstance(trace, ColumnarTrace)
+            and supports_predictor(self.predictor)
+        ):
+            columns = predict_columns(trace, self.predictor)
+            correct = columns.correct
+            high = np.empty((len(self.estimators), columns.branches), dtype=bool)
+            fallback = 0
+            for row, estimator in enumerate(self.estimators.values()):
+                try:
+                    high[row] = estimator_flags(columns, estimator)
+                except UnsupportedVectorization:
+                    high[row] = fallback_flags(columns, estimator)
+                    fallback += columns.branches
+            REGISTRY.count(
+                VECTOR_BRANCHES_METRIC,
+                columns.branches * (1 + len(high)) - fallback,
+            )
+            if fallback:
+                REGISTRY.count(SCALAR_FALLBACK_METRIC, fallback)
+        else:
+            correct, high = _replay(trace, self.predictor, self.estimators)
+        record_simulation(int(correct.shape[0]), time.perf_counter() - started)
+        self._count(correct, high)
+        return correct, high
+
+    def _count(self, correct, high) -> None:
+        branches = int(correct.shape[0])
+        self.branches += branches
+        self.mispredictions += branches - int(np.count_nonzero(correct))
+        self._confident += confident_counts(correct, high)
+
+    def result(self, elapsed_s: float) -> MeasurementResult:
+        """Everything fed so far as one :class:`MeasurementResult`."""
+        return MeasurementResult(
+            predictor_name=self.predictor.name,
+            branches=self.branches,
+            mispredictions=self.mispredictions,
+            quadrants=self.quadrants,
+            elapsed_s=elapsed_s,
+        )
 
 
 def measure_bank(
@@ -272,34 +310,21 @@ def measure_bank(
     predictor: BranchPredictor,
     estimators: Mapping[str, ConfidenceEstimator],
     subsumes: int = 1,
-    observers: Sequence[Observer] = (),
 ) -> MeasurementResult:
-    """One-pass estimator-bank measurement with session accounting.
+    """One :meth:`Bank.feed` of the whole trace, with bank accounting.
 
-    Identical to :func:`measure` -- estimators never perturb the
-    predictor or each other, so co-measuring more of them changes no
-    per-estimator quadrant -- but it additionally accounts the *bank
-    effect*: ``subsumes`` is the number of single-purpose
-    :func:`measure` passes this bank replaces (each former consumer
-    group of the same (workload, predictor) trace), and ``subsumes - 1``
-    is credited to the ``session.passes_saved`` counter.  The journal's
-    ``metrics_snapshot`` and the report's Battery-performance section
-    surface the saving.
-
-    Columnar traces dispatch to :func:`measure_bank_vectorized` when
-    the vector engine is enabled; predictors without a vector scan
-    (e.g. speculation wrapper predictors) silently take the scalar
-    loop, which iterates columnar traces just as well.
+    Estimators never perturb the predictor or each other, so one bank
+    replaces ``subsumes`` single-purpose :func:`measure` passes (each
+    former consumer group of the same (workload, predictor) trace);
+    ``subsumes - 1`` is credited to the ``session.passes_saved``
+    counter, which the journal and the report's Battery-performance
+    section surface.
     """
-    if vector_enabled() and isinstance(trace, ColumnarTrace):
-        try:
-            return measure_bank_vectorized(
-                trace, predictor, estimators, subsumes=subsumes, observers=observers
-            )
-        except UnsupportedVectorization:
-            pass
-    result = measure(trace, predictor, estimators, observers)
+    bank = Bank(predictor, estimators)
+    started = time.perf_counter()
+    bank.feed(trace)
+    elapsed = time.perf_counter() - started
     REGISTRY.count(BANK_PASSES_METRIC)
     if subsumes > 1:
         REGISTRY.count(PASSES_SAVED_METRIC, subsumes - 1)
-    return result
+    return bank.result(elapsed)

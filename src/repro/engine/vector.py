@@ -40,13 +40,20 @@ one predictor scan total.
 from __future__ import annotations
 
 import os
-from typing import Optional, Tuple
+from functools import lru_cache
+from typing import FrozenSet, Optional
 
 try:  # pragma: no cover - numpy presence is environment-dependent
     import numpy as np
 except ImportError:  # pragma: no cover - exercised only without numpy
     np = None
 
+from ..confidence.boosting import BoostedEstimator
+from ..confidence.distance import MispredictionDistanceEstimator
+from ..confidence.jrs import JRSEstimator
+from ..confidence.pattern import PatternHistoryEstimator
+from ..confidence.saturating import McFarlingVariant, SaturatingCountersEstimator
+from ..confidence.static import StaticEstimator
 from ..predictors.gshare import GsharePredictor
 from ..predictors.mcfarling import McFarlingPredictor
 from ..predictors.sag import SAgPredictor
@@ -94,12 +101,15 @@ def _segments(keys):
     return order, sorted_keys, pos, seg_start, is_last
 
 
-def _saturating_scan(indices, deltas, values, max_value):
+def _saturating_scan(indices, deltas, table, max_value):
     """Play per-entry saturating-counter chains as a segmented scan.
 
-    ``values`` (an int64 table) is updated in place to its final state;
-    the returned int64 array holds, in trace order, the counter value
-    each branch *observed* (before its own update).
+    ``table`` (a counter table's python list) is only read, and only
+    at the entries the trace touches, so a short trace costs little
+    however large the table.  Returns ``(observed, updates)``:
+    ``observed`` holds, in trace order, the counter value each branch
+    *observed* (before its own update), and ``updates`` pairs the
+    touched entries with their final values (see :func:`_write`).
 
     Every update is the monotone map ``x -> clip(x + d, 0, M)`` with
     ``d`` the signed delta (``-M`` expresses reset-to-zero).  Writing a
@@ -115,11 +125,11 @@ def _saturating_scan(indices, deltas, values, max_value):
     n = indices.shape[0]
     before = np.empty(n, dtype=np.int64)
     if n == 0:
-        return before
+        return before, ([], [])
     order, sorted_keys, pos, seg_start, is_last = _segments(indices)
     shift = deltas[order].astype(np.int64)
-    lo = np.clip(shift, 0, max_value)
-    hi = np.clip(shift + max_value, 0, max_value)
+    lo = np.minimum(np.maximum(shift, 0), max_value)
+    hi = np.minimum(np.maximum(shift + max_value, 0), max_value)
     longest = int((pos - seg_start).max()) + 1
     offset = 1
     while offset < longest:
@@ -136,16 +146,29 @@ def _saturating_scan(indices, deltas, values, max_value):
         lo = np.where(valid, new_lo, lo)
         hi = np.where(valid, new_hi, hi)
         offset <<= 1
-    initial = values[sorted_keys]
+    first = seg_start == pos
+    entries, initial = _gather(table, sorted_keys, first)
     after = np.minimum(hi, np.maximum(lo, initial + shift))
     observed = np.empty(n, dtype=np.int64)
-    first = seg_start == pos
     observed[first] = initial[first]
     rest = ~first
     observed[rest] = after[np.flatnonzero(rest) - 1]
     before[order] = observed
-    values[sorted_keys[is_last]] = after[is_last]
-    return before
+    return before, (entries, after[is_last].tolist())
+
+
+def _gather(table, sorted_keys, first):
+    """Read ``table`` once per segment of the sorted keys: returns the
+    segments' entries and each sorted position's initial value."""
+    entries = sorted_keys[first].tolist()
+    initial = np.array([table[entry] for entry in entries], dtype=np.int64)
+    return entries, initial[np.cumsum(first) - 1]
+
+
+def _write(table, updates) -> None:
+    """Install a scan's ``(entries, values)`` updates into ``table``."""
+    for entry, value in zip(*updates):
+        table[entry] = value
 
 
 # ----------------------------------------------------------------------
@@ -185,11 +208,15 @@ def _final_history(taken, bits, initial, mask):
 
 
 def _uniform_value(values) -> Optional[int]:
-    """The single value a table holds everywhere, or None if mixed."""
+    """The single value a table holds everywhere, or None if mixed.
+    (A strided sample rules most trained tables out cheaply.)"""
     if not values:
         return None
     first = values[0]
-    return first if values.count(first) == len(values) else None
+    for part in (values[::61], values):
+        if part.count(first) != len(part):
+            return None
+    return first
 
 
 # ----------------------------------------------------------------------
@@ -235,10 +262,6 @@ class PredictColumns:
     def branches(self) -> int:
         return int(self.pcs.shape[0])
 
-    @property
-    def mispredictions(self) -> int:
-        return int(np.count_nonzero(~self.correct))
-
 
 def _gshare_key(predictor):
     uniform = _uniform_value(predictor.table.values)
@@ -261,8 +284,7 @@ def _scan_gshare(trace, predictor):
     hist = _history_column(taken, history.bits, history.value, history.mask)
     index = (trace.pcs ^ hist) & table.index_mask
     deltas = np.where(taken, 1, -1)
-    values = np.asarray(table.values, dtype=np.int64)
-    before = _saturating_scan(index, deltas, values, table.max_value)
+    before, updates = _saturating_scan(index, deltas, table.values, table.max_value)
     pred = before >= table.midpoint
     columns = PredictColumns(
         pcs=trace.pcs,
@@ -275,15 +297,15 @@ def _scan_gshare(trace, predictor):
         snapshot_is_history=True,
     )
     finals = (
-        tuple(values.tolist()),
+        updates,
         _final_history(taken, history.bits, history.value, history.mask),
     )
     return columns, finals
 
 
 def _apply_gshare(predictor, finals):
-    table_values, history_value = finals
-    predictor.table.values[:] = list(table_values)
+    updates, history_value = finals
+    _write(predictor.table.values, updates)
     predictor.history.value = history_value
 
 
@@ -318,14 +340,11 @@ def _scan_mcfarling(trace, predictor):
     gshare_index = (trace.pcs ^ hist) & gshare_table.index_mask
     pc_index = trace.pcs & bimodal_table.index_mask
     deltas = np.where(taken, 1, -1)
-    gshare_values = np.asarray(gshare_table.values, dtype=np.int64)
-    bimodal_values = np.asarray(bimodal_table.values, dtype=np.int64)
-    meta_values = np.asarray(meta_table.values, dtype=np.int64)
-    gshare_before = _saturating_scan(
-        gshare_index, deltas, gshare_values, gshare_table.max_value
+    gshare_before, gshare_updates = _saturating_scan(
+        gshare_index, deltas, gshare_table.values, gshare_table.max_value
     )
-    bimodal_before = _saturating_scan(
-        pc_index, deltas, bimodal_values, bimodal_table.max_value
+    bimodal_before, bimodal_updates = _saturating_scan(
+        pc_index, deltas, bimodal_table.values, bimodal_table.max_value
     )
     gshare_pred = gshare_before >= gshare_table.midpoint
     bimodal_pred = bimodal_before >= bimodal_table.midpoint
@@ -335,8 +354,8 @@ def _scan_mcfarling(trace, predictor):
     meta_deltas = np.where(
         gshare_right != bimodal_right, np.where(gshare_right, 1, -1), 0
     )
-    meta_before = _saturating_scan(
-        pc_index, meta_deltas, meta_values, meta_table.max_value
+    meta_before, meta_updates = _saturating_scan(
+        pc_index, meta_deltas, meta_table.values, meta_table.max_value
     )
     pred = np.where(meta_before >= meta_table.midpoint, gshare_pred, bimodal_pred)
     columns = PredictColumns(
@@ -350,19 +369,19 @@ def _scan_mcfarling(trace, predictor):
         snapshot_is_history=True,
     )
     finals = (
-        tuple(gshare_values.tolist()),
-        tuple(bimodal_values.tolist()),
-        tuple(meta_values.tolist()),
+        gshare_updates,
+        bimodal_updates,
+        meta_updates,
         _final_history(taken, history.bits, history.value, history.mask),
     )
     return columns, finals
 
 
 def _apply_mcfarling(predictor, finals):
-    gshare_values, bimodal_values, meta_values, history_value = finals
-    predictor.gshare_table.values[:] = list(gshare_values)
-    predictor.bimodal_table.values[:] = list(bimodal_values)
-    predictor.meta_table.values[:] = list(meta_values)
+    gshare_updates, bimodal_updates, meta_updates, history_value = finals
+    _write(predictor.gshare_table.values, gshare_updates)
+    _write(predictor.bimodal_table.values, bimodal_updates)
+    _write(predictor.meta_table.values, meta_updates)
     predictor.history.value = history_value
 
 
@@ -389,7 +408,7 @@ def _scan_sag(trace, predictor):
     n = taken.shape[0]
     entry = trace.pcs & bht.index_mask
     hist = np.zeros(n, dtype=np.int64)
-    bht_values = np.asarray(bht.values, dtype=np.int64)
+    bht_updates = ([], [])
     if n:
         order, sorted_entries, pos, seg_start, is_last = _segments(entry)
         outcomes = taken[order].astype(np.int64)
@@ -401,7 +420,8 @@ def _scan_sag(trace, predictor):
                 valid, outcomes[np.maximum(source, 0)] << bit, 0
             )
         # surviving bits of the entry's pre-trace history register
-        initial = bht_values[sorted_entries]
+        first = seg_start == pos
+        entries, initial = _gather(bht.values, sorted_entries, first)
         depth = pos - seg_start
         seeded = depth < bht.bits
         hist_sorted |= np.where(
@@ -409,11 +429,10 @@ def _scan_sag(trace, predictor):
         )
         hist[order] = hist_sorted
         final_hist = ((hist_sorted << 1) | outcomes) & bht.history_mask
-        bht_values[sorted_entries[is_last]] = final_hist[is_last]
+        bht_updates = (entries, final_hist[is_last].tolist())
     index = hist & pht.index_mask
     deltas = np.where(taken, 1, -1)
-    pht_values = np.asarray(pht.values, dtype=np.int64)
-    before = _saturating_scan(index, deltas, pht_values, pht.max_value)
+    before, pht_updates = _saturating_scan(index, deltas, pht.values, pht.max_value)
     pred = before >= pht.midpoint
     columns = PredictColumns(
         pcs=trace.pcs,
@@ -425,14 +444,13 @@ def _scan_sag(trace, predictor):
         counters=(before,),
         snapshot_is_history=False,
     )
-    finals = (tuple(bht_values.tolist()), tuple(pht_values.tolist()))
-    return columns, finals
+    return columns, (bht_updates, pht_updates)
 
 
 def _apply_sag(predictor, finals):
-    bht_values, pht_values = finals
-    predictor.bht.values[:] = list(bht_values)
-    predictor.pht.values[:] = list(pht_values)
+    bht_updates, pht_updates = finals
+    _write(predictor.bht.values, bht_updates)
+    _write(predictor.pht.values, pht_updates)
 
 
 _PREDICTOR_SCANS = {
@@ -487,13 +505,12 @@ def _jrs_flags(columns, estimator):
     max_value = estimator.table.max_value
     # correct -> saturating +1; mispredict -> reset, i.e. clip(x - M)
     deltas = np.where(columns.correct, 1, -max_value)
-    values = np.asarray(estimator.table.values, dtype=np.int64)
-    before = _saturating_scan(index, deltas, values, max_value)
-    return before >= estimator.threshold, tuple(values.tolist())
+    before, updates = _saturating_scan(index, deltas, estimator.table.values, max_value)
+    return before >= estimator.threshold, updates
 
 
-def _jrs_apply(estimator, final):
-    estimator.table.values[:] = list(final)
+def _jrs_apply(estimator, updates):
+    _write(estimator.table.values, updates)
 
 
 def _satcnt_flags(columns, estimator):
@@ -506,8 +523,6 @@ def _satcnt_flags(columns, estimator):
 
     if len(counters) == 1:
         return strong(counters[0]), None
-    from ..confidence.saturating import McFarlingVariant
-
     gshare_strong = strong(counters[0])
     bimodal_strong = strong(counters[1])
     if estimator.variant is McFarlingVariant.BOTH_STRONG:
@@ -521,14 +536,27 @@ def _satcnt_flags(columns, estimator):
     return flags, None
 
 
+@lru_cache(maxsize=64)
+def _sorted_members(members: FrozenSet[int]):
+    return np.array(sorted(members), dtype=np.int64)
+
+
+def _member_flags(values, members: FrozenSet[int]):
+    """``value in members`` per element of the int64 column ``values``."""
+    table = _sorted_members(members)
+    if not table.shape[0]:
+        return np.zeros(values.shape[0], dtype=bool)
+    at = np.minimum(np.searchsorted(table, values), table.shape[0] - 1)
+    return table[at] == values
+
+
 def _pattern_flags(columns, estimator):
-    patterns = np.asarray(sorted(estimator.patterns), dtype=np.int64)
-    return np.isin(columns.history & estimator.history_mask, patterns), None
+    history = columns.history & estimator.history_mask
+    return _member_flags(history, estimator.patterns), None
 
 
 def _static_flags(columns, estimator):
-    sites = np.asarray(sorted(estimator.confident_sites), dtype=np.int64)
-    return np.isin(columns.pcs, sites), None
+    return _member_flags(columns.pcs, estimator.confident_sites), None
 
 
 def _stateless_apply(estimator, final):
@@ -585,13 +613,6 @@ def _estimator_plan(estimator):
     what routes e.g. :class:`CombiningJRSEstimator` and wrapper
     estimators with opaque state to the scalar fallback.
     """
-    from ..confidence.boosting import BoostedEstimator
-    from ..confidence.distance import MispredictionDistanceEstimator
-    from ..confidence.jrs import JRSEstimator
-    from ..confidence.pattern import PatternHistoryEstimator
-    from ..confidence.saturating import SaturatingCountersEstimator
-    from ..confidence.static import StaticEstimator
-
     kind = type(estimator)
     if kind is JRSEstimator:
         uniform = _uniform_value(estimator.table.values)
@@ -635,11 +656,6 @@ def _estimator_plan(estimator):
         )
         return key, _boost_flags, _boost_apply
     return None
-
-
-def supports_estimator(estimator) -> bool:
-    """True when an array kernel exists for this estimator."""
-    return _estimator_plan(estimator) is not None
 
 
 def _flags_and_final(columns, estimator):
@@ -706,23 +722,6 @@ def fallback_flags(columns: PredictColumns, estimator):
 # ----------------------------------------------------------------------
 
 
-def measured_flags(trace, predictor, estimator):
-    """Vectorized single-estimator measurement.
-
-    Returns ``(high_confidence, correct)`` bool arrays, or None when
-    the vector path cannot serve this combination (checked *before* any
-    state is consumed, so callers can fall back to the scalar loop with
-    untouched predictor/estimator instances).
-    """
-    if not _vector_ready(trace) or not supports_predictor(predictor):
-        return None
-    if _estimator_plan(estimator) is None:
-        return None
-    columns = predict_columns(trace, predictor)
-    flags = estimator_flags(columns, estimator)
-    return flags, columns.correct
-
-
 def confident_sites_vector(trace, predictor, accuracy_threshold):
     """Vectorized static profiling: per-site accuracy thresholding.
 
@@ -760,8 +759,7 @@ def jrs_value_counts(trace, predictor, table_size, counter_bits, enhanced):
     index = (columns.pcs ^ hist) & (table_size - 1)
     max_value = (1 << counter_bits) - 1
     deltas = np.where(columns.correct, 1, -max_value)
-    values = np.zeros(table_size, dtype=np.int64)
-    before = _saturating_scan(index, deltas, values, max_value)
+    before, _ = _saturating_scan(index, deltas, [0] * table_size, max_value)
     correct = columns.correct
     length = max_value + 1
     correct_counts = np.bincount(before[correct], minlength=length)[:length]
@@ -793,17 +791,10 @@ def distance_value_counts(trace, predictor, max_distance):
     return correct_counts.tolist(), incorrect_counts.tolist()
 
 
-def misestimation_pairs(trace, predictor, estimator):
-    """Per-branch (distance-since-misestimation, misestimated) pairs.
-
-    Vector equivalent of :class:`MisestimationDistanceObserver`'s pair
-    stream; returns a python list of tuples, or None if unsupported.
-    Consumes predictor and estimator state.
-    """
-    result = measured_flags(trace, predictor, estimator)
-    if result is None:
-        return None
-    flags, correct = result
+def misestimation_pairs(flags, correct):
+    """Per-branch (distance-since-misestimation, misestimated) pairs of
+    one estimator's flag column: the pair stream of
+    :class:`MisestimationDistanceObserver`, as a python list."""
     n = flags.shape[0]
     if n == 0:
         return []
@@ -816,18 +807,14 @@ def misestimation_pairs(trace, predictor, estimator):
     return list(zip(distance.tolist(), misestimated.tolist()))
 
 
-def boosting_counts(trace, predictor, estimator, ks):
-    """Boosting-event counts: vector form of :class:`BoostingAccumulator`.
+def boosting_counts(flags, correct, ks):
+    """Boosting-event counts of one estimator's flag column: the array
+    form of :class:`BoostingAccumulator`.
 
-    Returns ``(rows, lc_branches, lc_mispredictions, branches)`` where
-    ``rows`` is ``[(k, events, events_with_misprediction), ...]`` for
-    each distinct k ascending -- or None when the vector path does not
-    apply.  Consumes predictor and estimator state.
+    Returns ``(rows, lc_branches, lc_mispredictions)`` where ``rows``
+    is ``[(k, events, events_with_misprediction), ...]`` for each
+    distinct k ascending.
     """
-    result = measured_flags(trace, predictor, estimator)
-    if result is None:
-        return None
-    flags, correct = result
     n = flags.shape[0]
     low = ~flags
     mispredicted = ~correct
@@ -835,7 +822,7 @@ def boosting_counts(trace, predictor, estimator, ks):
     lc_mispredictions = int(np.count_nonzero(low & mispredicted))
     ordered_ks = sorted(set(ks))
     if n == 0:
-        return [(k, 0, 0) for k in ordered_ks], 0, 0, 0
+        return [(k, 0, 0) for k in ordered_ks], 0, 0
     pos = np.arange(n, dtype=np.int64)
     # length of the LC run ending at each branch (0 on HC branches)
     run = pos - np.maximum.accumulate(np.where(flags, pos, -1))
@@ -846,4 +833,4 @@ def boosting_counts(trace, predictor, estimator, ks):
         events = int(np.count_nonzero(event_mask))
         hits = int(np.count_nonzero(event_mask & (last_lc_miss >= pos - k + 1)))
         rows.append((k, events, hits))
-    return rows, lc_branches, lc_mispredictions, n
+    return rows, lc_branches, lc_mispredictions

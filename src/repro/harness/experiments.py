@@ -52,6 +52,7 @@ from ..confidence import (
     profile_confident_sites,
 )
 from ..engine import (
+    Bank,
     columnar_run,
     confident_sites_vector,
     get_cache,
@@ -419,23 +420,40 @@ def _bank_subsumes(families: Tuple[str, ...]) -> int:
     return max(passes, 1)
 
 
+def family_bank(
+    predictor_name: str,
+    workload: str,
+    iterations: Optional[int],
+    families: Sequence[str],
+) -> Bank:
+    """A fresh bank: one predictor and, in ``families`` order, one
+    estimator per family (``accuracy`` is predictor-only).  Battery
+    cells, serving sessions and the load verifier all build theirs
+    here, so they measure identical configurations."""
+    predictor = make_predictor(predictor_name)
+    estimators = {
+        family: _family_estimator(
+            family, predictor_name, predictor, workload, iterations
+        )
+        for family in families
+        if family != "accuracy"
+    }
+    return Bank(predictor, estimators)
+
+
 def _compute_measurement_cell(
     predictor_name: str,
     workload: str,
     iterations: Optional[int],
     families: Tuple[str, ...],
 ) -> MeasurementCell:
-    trace = _bank_trace(workload, iterations)
-    predictor = make_predictor(predictor_name)
-    estimators = {
-        family: _family_estimator(
-            family, predictor_name, predictor, workload, iterations
-        )
-        for family in BANK_FAMILIES
-        if family in families and family != "accuracy"
-    }
+    ordered = [family for family in BANK_FAMILIES if family in families]
+    bank = family_bank(predictor_name, workload, iterations, ordered)
     result = measure_bank(
-        trace, predictor, estimators, subsumes=_bank_subsumes(families)
+        _bank_trace(workload, iterations),
+        bank.predictor,
+        bank.estimators,
+        subsumes=_bank_subsumes(families),
     )
     return MeasurementCell(
         predictor=predictor_name,

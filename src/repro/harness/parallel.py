@@ -344,10 +344,16 @@ def plan_artifact_nodes(
                         deps=base_deps(workload) + (baseline,),
                     )
                 elif dep.kind == "inversion":
+                    # inversion is a bank pass over the columnar trace
+                    columnar = add(
+                        "trace-columnar",
+                        (workload, scale.iterations),
+                        deps=(trace,),
+                    )
                     add(
                         "inversion",
                         (workload, dep.estimator, scale.iterations),
-                        deps=(trace,),
+                        deps=(trace, columnar),
                     )
     return list(nodes.values())
 

@@ -40,9 +40,8 @@ from ..pipeline import (
     SnapshotError,
     capture_snapshot,
     create_simulator,
-    decoded_run,
+    engine_decode,
     normalize_backend,
-    pipeline_fast_enabled,
     restore_snapshot,
 )
 from ..predictors import make_predictor
@@ -112,16 +111,13 @@ def build_cell_simulator(
         }
     # the fast path reads the shared pre-decoded artifact (warmed by
     # the DAG scheduler; a cheap decode on a cold cache)
-    decoded = (
-        decoded_run(workload, iterations) if pipeline_fast_enabled() else None
-    )
     return create_simulator(
         program,
         predictor,
         backend=backend,
         config=PipelineConfig(),
         estimators=estimators,
-        decoded=decoded,
+        decoded=engine_decode(workload, iterations),
     )
 
 
@@ -192,7 +188,9 @@ def _simulator_at(
         if not hit:
             continue
         try:
-            simulator = restore_snapshot(snapshot)
+            simulator = restore_snapshot(
+                snapshot, decoded=engine_decode(workload, iterations)
+            )
         except SnapshotError:
             continue  # stale/garbled snapshot: fall back one boundary
         start = index + 1

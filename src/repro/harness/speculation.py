@@ -51,9 +51,8 @@ from ..obs.registry import REGISTRY
 from ..pipeline import (
     PipelineConfig,
     PipelineStats,
-    decoded_run,
+    engine_decode,
     normalize_backend,
-    pipeline_fast_enabled,
 )
 from ..predictors import make_predictor
 from ..speculation import (
@@ -61,7 +60,7 @@ from ..speculation import (
     make_eager_simulator,
     make_gated_simulator,
 )
-from .experiments import FULL, ExperimentResult, Scale, _pipeline_result, _trace
+from .experiments import FULL, ExperimentResult, Scale, _bank_trace, _pipeline_result
 from .spec import SPECS, ArtifactDep, ExperimentSpec
 from .tables import TextTable, pct1, spct1
 
@@ -269,13 +268,6 @@ def _estimator_factory(name: str) -> Callable:
         ) from None
 
 
-def _decoded(workload: str, iterations: Optional[int]):
-    """The shared pre-decoded program when the fast path is enabled."""
-    if pipeline_fast_enabled():
-        return decoded_run(workload, iterations)
-    return None
-
-
 def _baseline_stats(
     workload: str,
     iterations: Optional[int],
@@ -313,7 +305,7 @@ def _compute_gating_cell(
         _estimator_factory(estimator_name),
         gate_threshold=threshold,
         config=config,
-        decoded=_decoded(workload, iterations),
+        decoded=engine_decode(workload, iterations),
         backend=backend,
     )
     gated = simulator.run(max_instructions=max_instructions).stats
@@ -393,7 +385,7 @@ def _compute_eager_cell(
         _predictor_factory,
         _estimator_factory(estimator_name),
         config=PipelineConfig(),
-        decoded=_decoded(workload, iterations),
+        decoded=engine_decode(workload, iterations),
         backend=backend,
     )
     eager = simulator.run(max_instructions=max_instructions).stats
@@ -455,7 +447,7 @@ def _compute_inversion_cell(
 ) -> InversionCell:
     predictor = _predictor_factory()
     result = evaluate_inversion(
-        _trace(workload, iterations),
+        _bank_trace(workload, iterations),
         predictor,
         _estimator_factory(estimator_name)(predictor),
     )

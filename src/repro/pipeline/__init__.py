@@ -18,6 +18,7 @@ from .decode import (
     clear_decoded_cache,
     decode_program,
     decoded_run,
+    engine_decode,
     pipeline_fast_enabled,
 )
 from .ooo import (
@@ -62,6 +63,7 @@ __all__ = [
     "clear_decoded_cache",
     "decode_program",
     "decoded_run",
+    "engine_decode",
     "pipeline_fast_enabled",
     "SNAPSHOT_SCHEMA",
     "PipelineSnapshot",

@@ -464,6 +464,12 @@ def decoded_run(name: str, iterations: Optional[int] = None) -> DecodedProgram:
     )
 
 
+def engine_decode(name: str, iterations: Optional[int] = None):
+    """The shared :func:`decoded_run` when this process enables the
+    fused engine, else None (the per-cycle reference engine)."""
+    return decoded_run(name, iterations) if pipeline_fast_enabled() else None
+
+
 def clear_decoded_cache() -> None:
     """Drop memoised decoded programs (tests and long-lived processes)."""
     decoded_run.cache_clear()

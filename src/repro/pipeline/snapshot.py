@@ -69,8 +69,14 @@ def capture_snapshot(simulator) -> PipelineSnapshot:
     )
 
 
-def restore_snapshot(snapshot: PipelineSnapshot):
-    """Thaw a simulator that resumes exactly where ``snapshot`` paused."""
+def restore_snapshot(snapshot: PipelineSnapshot, decoded=None):
+    """Thaw a simulator that resumes exactly where ``snapshot`` paused.
+
+    The resumed run takes the engine the *restoring* process chose, not
+    the capturing one's: the fused loop over ``decoded`` (see
+    :func:`~repro.pipeline.decode.engine_decode`), or the per-cycle
+    reference engine when it is None.  Both resume bit-identically.
+    """
     if snapshot.schema != SNAPSHOT_SCHEMA:
         raise SnapshotError(
             f"snapshot schema {snapshot.schema!r} != {SNAPSHOT_SCHEMA!r}"
@@ -88,4 +94,5 @@ def restore_snapshot(snapshot: PipelineSnapshot):
             f" {simulator.stats.committed_instructions} committed"
             f" != {snapshot.committed_instructions}"
         )
+    simulator._decoded = decoded
     return simulator

@@ -9,10 +9,10 @@ exact (sorted, not interpolated-bucket) p50/p95/p99 latency and the
 session completion rate, and lands in the metrics registry plus a
 ``server_load_report`` journal event.
 
-``--verify`` recomputes every cell with one batch
-:func:`~repro.engine.measure.measure_bank` call -- built with the
-*same* trace and estimator factories the server's sessions use -- and
-requires the streamed result to be equal, not approximately equal.
+``--verify`` recomputes every cell by feeding the whole trace to one
+:class:`~repro.engine.measure.Bank` -- built with the *same* trace and
+bank factories the server's sessions use -- and requires the streamed
+result to be equal, not approximately equal.
 This is the client side of the serving correctness contract and what
 the chaos CI leg asserts while workers are being crashed.
 
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import asyncio
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..obs.journal import coalesce
@@ -173,39 +173,19 @@ def batch_reference(
     families: Sequence[str],
     iterations: Optional[int],
 ) -> dict:
-    """The batch ``measure_bank`` result a streamed session must equal.
+    """The batch-mode result a streamed session must equal: the whole
+    trace fed in one piece to a bank built like the sessions' (same
+    trace memo, bank factory and static-sites artifacts), so any
+    difference is a serving bug, not a configuration drift."""
+    from ..harness.experiments import _bank_trace, family_bank
 
-    Deliberately constructed with the same factories the server's
-    sessions use (same trace memo, same estimator factory, same
-    static-sites artifacts), so any difference is a serving bug, not a
-    configuration drift.
-    """
-    from ..engine.measure import measure_bank
-    from ..harness.experiments import _bank_trace, _family_estimator
-    from ..predictors import make_predictor
-
-    predictor = make_predictor(predictor_name)
-    estimators = {
-        family: _family_estimator(
-            family, predictor_name, predictor, workload, iterations
-        )
-        for family in families
-        if family != "accuracy"
-    }
-    result = measure_bank(
-        _bank_trace(workload, iterations), predictor, estimators
-    )
+    bank = family_bank(predictor_name, workload, iterations, families)
+    bank.feed(_bank_trace(workload, iterations))
     return {
-        "branches": result.branches,
-        "mispredictions": result.mispredictions,
+        "branches": bank.branches,
+        "mispredictions": bank.mispredictions,
         "quadrants": {
-            name: {
-                "c_hc": counts.c_hc,
-                "i_hc": counts.i_hc,
-                "c_lc": counts.c_lc,
-                "i_lc": counts.i_lc,
-            }
-            for name, counts in result.quadrants.items()
+            name: asdict(counts) for name, counts in bank.quadrants.items()
         },
     }
 

@@ -2,15 +2,17 @@
 
 An :class:`EstimatorSession` is the serving-side unit of work: one
 client's branch stream driven through one predictor and a bank of
-confidence estimators, *incrementally*.  Its per-branch semantics are
-a line-for-line mirror of the batch loop in
-:func:`repro.engine.measure.measure` -- predict, estimate every
-family, count the quadrant, resolve predictor then estimators -- so a
-session fed the same branch sequence in any batch split produces final
-:class:`~repro.metrics.quadrant.QuadrantCounts` *equal* (not
-approximately equal) to one batch ``measure_bank`` call.  That
-equivalence is the server's correctness contract and is what the
-chaos CI leg asserts.
+confidence estimators, *incrementally*.  It holds the same
+:class:`~repro.engine.measure.Bank` the battery's ``measure_bank``
+feeds whole traces, and feeds it one batch at a time as a columnar
+trace (the vector kernels, or the scalar loop for predictors without a
+vector scan), each resuming where the last left off.  Windows are cut
+from the flag columns ``feed`` returns, carrying a partial window's
+counts to the next batch.
+So any batch split of a stream yields the same ``window`` messages and
+final :class:`~repro.metrics.quadrant.QuadrantCounts` *equal* (not
+approximately equal) to one batch ``measure_bank`` call: the server's
+correctness contract, and what the chaos CI leg asserts.
 
 Sessions are snapshotted with the same capture/restore idiom as
 :mod:`repro.pipeline.snapshot`: the whole session is pickled in one
@@ -24,15 +26,20 @@ snapshot's ``applied_seq`` -- never the whole stream.
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass
+from array import array
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence
 
-from ..metrics.quadrant import QuadrantCounts
-from ..predictors import make_predictor
+import numpy as np
+
+from ..confidence.pattern import NoHistoryRegister
+from ..engine.columnar import lower_trace
+from ..engine.measure import confident_counts, quadrant_table
+from ..workloads.trace import BranchTrace
 
 #: Bump when the snapshot payload layout changes; restores refuse
 #: mismatched schemas instead of resuming from garbage.
-SESSION_SCHEMA = "serve-session/1"
+SESSION_SCHEMA = "serve-session/2"
 
 #: Default branches per metrics window.
 DEFAULT_WINDOW = 256
@@ -73,14 +80,17 @@ class EstimatorSession:
         window: int = DEFAULT_WINDOW,
         gate_threshold: float = DEFAULT_GATE_THRESHOLD,
     ):
-        # estimator construction is deliberately shared with the batch
-        # battery (same factory, same static-sites artifact), so the
-        # serving path measures the identical estimator configurations
-        from ..harness.experiments import BANK_FAMILIES, _family_estimator
+        from ..harness.experiments import BANK_FAMILIES, family_bank
+        from ..predictors import PREDICTOR_FACTORIES
         from ..workloads import SUITE
 
         if workload not in SUITE:
             raise SessionError(f"unknown workload {workload!r}")
+        if predictor_name not in PREDICTOR_FACTORIES:
+            raise SessionError(
+                f"unknown predictor {predictor_name!r}"
+                f" (available: {', '.join(sorted(PREDICTOR_FACTORIES))})"
+            )
         if window <= 0:
             raise SessionError(f"window must be positive, got {window}")
         unknown = [f for f in families if f not in BANK_FAMILIES]
@@ -98,28 +108,24 @@ class EstimatorSession:
         self.gate_threshold = gate_threshold
 
         try:
-            self.predictor = make_predictor(predictor_name)
-        except KeyError as error:
-            raise SessionError(str(error)) from None
-        self.estimators = {
-            family: _family_estimator(
-                family, predictor_name, self.predictor, workload, iterations
+            self.bank = family_bank(
+                predictor_name, workload, iterations, self.families
             )
-            for family in self.families
-            if family != "accuracy"
-        }
-        self.quadrants: Dict[str, QuadrantCounts] = {
-            name: QuadrantCounts() for name in self.estimators
-        }
-        self._window_quadrants: Dict[str, QuadrantCounts] = {
-            name: QuadrantCounts() for name in self.estimators
-        }
-        self.branches = 0
-        self.mispredictions = 0
+        except NoHistoryRegister as error:  # "pattern" on e.g. bimodal
+            raise SessionError(str(error)) from None
+        #: The open window's running counts: correct predictions, and
+        #: per estimator (high-confidence, high-confidence and correct).
+        self._window_right = 0
+        self._window_counts = np.zeros((2, len(self.bank.estimators)), np.int64)
         self.windows_emitted = 0
         #: Sequence number of the last applied ``branches`` batch; the
         #: worker's dedupe key after a snapshot restore.
         self.applied_seq = 0
+
+    @property
+    def branches(self) -> int:
+        """Branches applied so far."""
+        return self.bank.branches
 
     # ------------------------------------------------------------------
     # streaming
@@ -143,38 +149,37 @@ class EstimatorSession:
             )
         if len(pcs) != len(taken):
             raise SessionError("pcs and taken length mismatch")
+        try:
+            batch = BranchTrace(array("q", pcs), bytearray(map(bool, taken)))
+        except (TypeError, OverflowError) as error:
+            raise SessionError(f"malformed branch batch: {error}") from None
+        correct, high = self.bank.feed(lower_trace(batch))
+        # cut the batch at window boundaries of the whole stream
+        first = self.bank.branches - len(pcs)
         windows: List[dict] = []
-        predict = self.predictor.predict
-        predictor_resolve = self.predictor.resolve
-        estimator_items = list(self.estimators.items())
-        for pc, taken_flag in zip(pcs, taken):
-            actual = bool(taken_flag)
-            prediction = predict(pc)
-            assessments = [
-                (name, estimator, estimator.estimate(pc, prediction))
-                for name, estimator in estimator_items
-            ]
-            correct = prediction.taken == actual
-            self.branches += 1
-            if not correct:
-                self.mispredictions += 1
-            predictor_resolve(pc, actual, prediction)
-            for name, estimator, assessment in assessments:
-                estimator.resolve(pc, prediction, actual, assessment)
-                high = assessment.high_confidence
-                self.quadrants[name].record(correct, high)
-                self._window_quadrants[name].record(correct, high)
-            if self.branches % self.window == 0:
-                windows.append(self._close_window())
+        cut = 0
+        while cut < len(pcs):
+            boundary = (first + cut) // self.window * self.window + self.window
+            stop = min(len(pcs), boundary - first)
+            right = correct[cut:stop]
+            self._window_right += int(np.count_nonzero(right))
+            self._window_counts += confident_counts(right, high[:, cut:stop])
+            cut = stop
+            if first + cut == boundary:
+                windows.append(self._close_window(boundary))
         self.applied_seq = seq
         return windows
 
-    def _close_window(self) -> dict:
-        """Snapshot and reset the per-window tables as one message."""
-        start = self.branches - self.window
+    def _close_window(self, end: int) -> dict:
+        """Report and reset the counts of the window ending at ``end``."""
         metrics: Dict[str, Dict[str, Optional[float]]] = {}
         gate: Dict[str, bool] = {}
-        for name, counts in self._window_quadrants.items():
+        for name, confident, confident_right in zip(
+            self.bank.estimators, *self._window_counts.tolist()
+        ):
+            counts = quadrant_table(
+                self.window, self._window_right, confident, confident_right
+            )
             metrics[name] = {
                 metric: counts.metric_or_none(metric)
                 for metric in WINDOW_METRICS
@@ -183,13 +188,12 @@ class EstimatorSession:
             # the §2.2 speculation-control signal: gate fetch past this
             # window's branches when too many were tagged low-confidence
             gate[name] = counts.coverage >= self.gate_threshold
-        self._window_quadrants = {
-            name: QuadrantCounts() for name in self.estimators
-        }
+        self._window_right = 0
+        self._window_counts[:] = 0
         self.windows_emitted += 1
         return {
             "type": "window",
-            "start": start,
+            "start": end - self.window,
             "branches": self.window,
             "metrics": metrics,
             "gate": gate,
@@ -199,17 +203,11 @@ class EstimatorSession:
         """The final ``result`` message for the whole applied stream."""
         return {
             "type": "result",
-            "branches": self.branches,
-            "mispredictions": self.mispredictions,
+            "branches": self.bank.branches,
+            "mispredictions": self.bank.mispredictions,
             "windows": self.windows_emitted,
             "quadrants": {
-                name: {
-                    "c_hc": counts.c_hc,
-                    "i_hc": counts.i_hc,
-                    "c_lc": counts.c_lc,
-                    "i_lc": counts.i_lc,
-                }
-                for name, counts in self.quadrants.items()
+                name: asdict(counts) for name, counts in self.bank.quadrants.items()
             },
         }
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Iterable, Tuple
 
 from ..confidence.base import ConfidenceEstimator
+from ..engine.measure import Bank
 from ..predictors.base import BranchPredictor, Prediction
 
 
@@ -112,36 +113,17 @@ def evaluate_inversion(
 ) -> InversionResult:
     """Measure what LC-inversion would do over ``trace``.
 
-    Runs the ordinary predict/estimate/resolve loop (no behavioural
-    change to the substrate) and accounts each low-confidence branch as
-    a flip that either fixed a misprediction or broke a correct one.
+    One single-estimator bank pass (no behavioural change to the
+    substrate): each low-confidence branch is a flip that either fixed
+    a misprediction (``i_lc``) or broke a correct one (``c_lc``).
     """
-    branches = 0
-    base_correct = 0
-    flips = 0
-    helped = 0
-    hurt = 0
-    predict = predictor.predict
-    resolve = predictor.resolve
-    for pc, taken in trace:
-        prediction = predict(pc)
-        assessment = estimator.estimate(pc, prediction)
-        correct = prediction.taken == taken
-        branches += 1
-        if correct:
-            base_correct += 1
-        if not assessment.high_confidence:
-            flips += 1
-            if correct:
-                hurt += 1
-            else:
-                helped += 1
-        resolve(pc, taken, prediction)
-        estimator.resolve(pc, prediction, taken, assessment)
+    bank = Bank(predictor, {"inversion": estimator})
+    bank.feed(trace)
+    counts = bank.quadrants["inversion"]
     return InversionResult(
-        branches=branches,
-        base_correct=base_correct,
-        flips=flips,
-        flips_helped=helped,
-        flips_hurt=hurt,
+        branches=bank.branches,
+        base_correct=bank.branches - bank.mispredictions,
+        flips=int(counts.low_confidence),
+        flips_helped=int(counts.i_lc),
+        flips_hurt=int(counts.c_lc),
     )

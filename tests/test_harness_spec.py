@@ -251,10 +251,12 @@ class TestWarmPlanLegacyEquivalence:
         # the columnar lowering sits between the trace and everything
         # that replays it
         assert any(node.kind == "trace-columnar" for node in levels[1])
-        # the last level: what replays the columnar trace, and the
-        # speculation cells that read the gshare pipeline baseline
+        # the last level: what replays the columnar trace (bank
+        # measurements and inversion cells), and the speculation cells
+        # that read the gshare pipeline baseline
         assert {node.kind for node in levels[2]} == {
             "measurement",
+            "inversion",
             "gating",
             "eager",
         }

@@ -401,6 +401,34 @@ class TestRunSegmented:
         )
         assert summary["done"] is False
 
+    @pytest.mark.parametrize("captured_fast", ["1", "0"])
+    def test_resume_runs_on_the_resuming_process_engine(
+        self, isolated_cache, monkeypatch, captured_fast
+    ):
+        """The engine of a resumed segment follows REPRO_PIPELINE_FAST
+        of the resuming process: a fused-captured OoO chain resumes on
+        the reference engine under =0, a reference-captured one on the
+        fused engine by default, and both land on the whole run."""
+        cell = self.CELL[:-1] + (True,)
+        whole = run_segmented(*cell, None, "ooo")
+        monkeypatch.setenv("REPRO_PIPELINE_FAST", captured_fast)
+        warm_segment(*cell, 1000, 3, "ooo")  # the whole chain, captured
+        resume_fast = "0" if captured_fast == "1" else "1"
+        monkeypatch.setenv("REPRO_PIPELINE_FAST", resume_fast)
+        clear_memoised()
+        engines = []
+        fused = PipelineSimulator._run_fast
+
+        def spy(simulator, *args):
+            engines.append("fused")
+            return fused(simulator, *args)
+
+        monkeypatch.setattr(PipelineSimulator, "_run_fast", spy)
+        resumed = run_segmented(*cell, 1000, "ooo")
+        assert engines == (["fused"] if resume_fast == "1" else [])
+        assert vars(resumed.stats) == vars(whole.stats)
+        assert resumed.quadrants_committed == whole.quadrants_committed
+
     def test_build_cell_simulator_matches_direct_build(self):
         simulator = build_cell_simulator("compress", "gshare", ITERATIONS, False)
         result = simulator.run(max_instructions=TOTAL)

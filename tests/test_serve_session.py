@@ -1,7 +1,15 @@
 """Incremental estimator sessions: exact batch equivalence, snapshots,
 redelivery dedupe, window metrics, and the consistent hash ring."""
 
+import os
+from unittest import mock
+
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
+
+from repro.engine import VECTOR_BRANCHES_METRIC
+from repro.obs.registry import REGISTRY
 
 from repro.serve.load import batch_reference, results_equal
 from repro.serve.ring import HashRing
@@ -46,6 +54,17 @@ class TestBatchEquivalence:
                 f"batch split {batch} diverged from measure_bank"
             )
 
+    def test_accuracy_only_session(self):
+        """A bank with no estimators still streams windows and counts."""
+        session = EstimatorSession(
+            "acc", "compress", "gshare", ("accuracy",), ITERATIONS, window=64
+        )
+        windows = _stream(session, _batches("compress", 100))
+        assert windows and all(w["metrics"] == {} for w in windows)
+        reference = batch_reference("compress", "gshare", ("accuracy",), ITERATIONS)
+        assert results_equal(session.result(), reference)
+        assert session.result()["quadrants"] == {}
+
     def test_all_bank_families_supported(self):
         families = list(session_families())
         session = EstimatorSession(
@@ -59,6 +78,77 @@ class TestBatchEquivalence:
         )
         reference = batch_reference("compress", "gshare", families, ITERATIONS)
         assert results_equal(result, reference)
+
+
+#: Families every split-invariance case can host (bimodal has no
+#: history register, so no pattern-history estimator).
+SPLIT_FAMILIES = (
+    "accuracy", "jrs", "satcnt", "satcnt-either", "static", "distance",
+    "boosted-distance",
+)
+SPLIT_WINDOW = 100
+
+#: Batch sizes: single branches, sizes near the window, and sizes
+#: spanning several windows; cycled, they cut the stream so batches
+#: straddle window boundaries.
+batch_sizes = st.lists(
+    st.one_of(
+        st.integers(1, 3),
+        st.integers(SPLIT_WINDOW - 5, SPLIT_WINDOW + 5),
+        st.integers(SPLIT_WINDOW + 6, 3 * SPLIT_WINDOW + 7),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+def _split(pcs, taken, sizes):
+    """Cut the stream into consecutive batches, cycling ``sizes``."""
+    batches, start, turn = [], 0, 0
+    while start < len(pcs):
+        stop = start + sizes[turn % len(sizes)]
+        batches.append((pcs[start:stop], taken[start:stop]))
+        start, turn = stop, turn + 1
+    return batches
+
+
+@pytest.mark.parametrize(
+    "predictor, vector",
+    [("gshare", "1"), ("bimodal", "1"), ("gshare", "0")],
+    ids=["gshare-vector", "bimodal-scalar", "gshare-REPRO_VECTOR=0"],
+)
+@given(sizes=batch_sizes)
+@example(sizes=[1])
+@example(sizes=[SPLIT_WINDOW - 1, 2, 2 * SPLIT_WINDOW + 13])
+@settings(
+    deadline=None,
+    max_examples=12,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+def test_batch_split_changes_no_result_and_no_window(predictor, vector, sizes):
+    """Window values and the final result do not depend on how the
+    stream is cut into batches: any split equals one whole batch."""
+    (pcs, taken), = _batches("compress", 1 << 20)
+    with mock.patch.dict(os.environ, {"REPRO_VECTOR": vector}):
+        whole = EstimatorSession(
+            "whole", "compress", predictor, SPLIT_FAMILIES, ITERATIONS,
+            window=SPLIT_WINDOW,
+        )
+        expected = whole.apply(1, pcs, taken)
+        split = EstimatorSession(
+            "split", "compress", predictor, SPLIT_FAMILIES, ITERATIONS,
+            window=SPLIT_WINDOW,
+        )
+        kernels = REGISTRY.counter_value(VECTOR_BRANCHES_METRIC)
+        batches = _split(pcs, taken, sizes)
+        windows = _stream(split, batches)
+        kernels = REGISTRY.counter_value(VECTOR_BRANCHES_METRIC) - kernels
+    assert len(expected) == len(pcs) // SPLIT_WINDOW
+    assert windows == expected
+    assert split.result() == whole.result()
+    # the gshare case really runs the kernels, and the scalar cases
+    # never do
+    assert (kernels > 0) == (predictor == "gshare" and vector == "1")
 
 
 class TestStreamDiscipline:
@@ -87,6 +177,14 @@ class TestStreamDiscipline:
         with pytest.raises(SessionError, match="length mismatch"):
             self._session().apply(1, [1, 2, 3], [1, 0])
 
+    def test_malformed_batch_rejected(self):
+        """pcs must be 64-bit ints; the batch is refused, not applied."""
+        session = self._session()
+        for pcs in (["x"], [1.5], [1 << 64]):
+            with pytest.raises(SessionError, match="malformed"):
+                session.apply(1, pcs, [1])
+        assert session.branches == 0 and session.applied_seq == 0
+
     def test_unknown_workload_rejected(self):
         with pytest.raises(SessionError, match="unknown workload"):
             EstimatorSession("s", "nope", "gshare", FAMILIES)
@@ -96,8 +194,16 @@ class TestStreamDiscipline:
             EstimatorSession("s", "compress", "gshare", ["jrs", "wat"])
 
     def test_unknown_predictor_rejected(self):
-        with pytest.raises(SessionError):
+        with pytest.raises(SessionError, match="unknown predictor"):
             EstimatorSession("s", "compress", "oracle-9000", FAMILIES)
+
+    def test_pattern_family_needs_a_history_register(self):
+        with pytest.raises(SessionError, match="no history register"):
+            EstimatorSession("s", "compress", "bimodal", ["pattern"])
+
+    def test_family_the_predictor_cannot_host_rejected(self):
+        with pytest.raises(SessionError, match="history register"):
+            EstimatorSession("s", "compress", "bimodal", ["pattern"])
 
     def test_non_positive_window_rejected(self):
         with pytest.raises(SessionError, match="window"):
@@ -192,15 +298,18 @@ class TestSnapshots:
             "s", "compress", "gshare", ("jrs",), ITERATIONS
         )
         snapshot = capture_session(session)
-        stale = type(snapshot)(
-            schema="serve-session/0",
-            session_id=snapshot.session_id,
-            applied_seq=snapshot.applied_seq,
-            branches=snapshot.branches,
-            payload=snapshot.payload,
-        )
-        with pytest.raises(SessionSnapshotError, match="schema"):
-            restore_session(stale)
+        # serve-session/1 pickled the session's own predictor, estimator
+        # and quadrant attributes, not a bank: its layout is refused too
+        for schema in ("serve-session/0", "serve-session/1"):
+            stale = type(snapshot)(
+                schema=schema,
+                session_id=snapshot.session_id,
+                applied_seq=snapshot.applied_seq,
+                branches=snapshot.branches,
+                payload=snapshot.payload,
+            )
+            with pytest.raises(SessionSnapshotError, match="schema"):
+                restore_session(stale)
 
     def test_corrupt_payload_refused(self):
         session = EstimatorSession(

@@ -2,16 +2,18 @@
 
 The vector engine's contract (docs/performance.md) is *bit-identity*:
 for any trace and any supported (predictor, estimator-family) pair,
-:func:`measure_bank_vectorized` must produce exactly the quadrant
-counts, misprediction counts and per-branch observer callbacks of the
-scalar bank -- and leave the predictor and estimators in exactly the
-same state.  Hypothesis drives that over random short traces with
-deliberately tiny tables, so index aliasing, history wrap-around and
-counter saturation all get exercised.
+:meth:`Bank.feed` over a columnar trace (the array kernels) must
+produce exactly the quadrant counts, misprediction counts and
+per-branch ``correct`` / high-confidence flag columns of the same feed
+over a plain trace (the scalar loop) -- and leave the predictor and
+estimators in exactly the same state.  Hypothesis drives that over
+random short traces with deliberately tiny tables, so index aliasing,
+history wrap-around and counter saturation all get exercised.
 
 Families without a kernel (``CombiningJRSEstimator``) must take the
 scalar fallback inside the vectorized pass and still match; predictors
-without a scan must make ``measure_bank`` fall back wholesale.
+without a scan must make the bank fall back to the scalar loop
+wholesale.
 """
 
 import pytest
@@ -33,13 +35,14 @@ from repro.confidence import (
     StaticEstimator,
 )
 from repro.engine import (
-    UnsupportedVectorization,
+    VECTOR_BRANCHES_METRIC,
+    Bank,
     lower_trace,
     measure_bank,
-    measure_bank_vectorized,
     vector_enabled,
 )
 from repro.engine.measure import measure
+from repro.obs.registry import REGISTRY
 from repro.predictors import make_predictor
 from repro.predictors.gshare import GsharePredictor
 from repro.predictors.mcfarling import McFarlingPredictor
@@ -94,16 +97,6 @@ traces = st.lists(
 )
 
 
-class RecordingObserver:
-    """Capture every callback verbatim for stream comparison."""
-
-    def __init__(self):
-        self.events = []
-
-    def __call__(self, pc, predicted, actual, flags):
-        self.events.append((pc, predicted, actual, dict(flags)))
-
-
 def _columnar(records):
     return lower_trace(BranchTrace.from_records(records, name="prop"))
 
@@ -114,45 +107,43 @@ def _bank(predictor, records, families=FAMILY_MAKERS):
     }
 
 
-def _measure_scalar(predictor_name, records, families=FAMILY_MAKERS):
+def _feed(predictor_name, trace, records, families=FAMILY_MAKERS):
     predictor = PREDICTOR_MAKERS[predictor_name]()
-    estimators = _bank(predictor, records, families)
-    observer = RecordingObserver()
-    result = measure(
-        BranchTrace.from_records(records, name="prop"),
-        predictor,
-        estimators,
-        observers=[observer],
-    )
-    return result, observer.events, predictor, estimators
+    bank = Bank(predictor, _bank(predictor, records, families))
+    correct, high = bank.feed(trace)
+    return bank, correct, high
 
 
-def _measure_vector(predictor_name, records, families=FAMILY_MAKERS):
-    predictor = PREDICTOR_MAKERS[predictor_name]()
-    estimators = _bank(predictor, records, families)
-    observer = RecordingObserver()
-    result = measure_bank_vectorized(
-        _columnar(records), predictor, estimators, observers=[observer]
-    )
-    return result, observer.events, predictor, estimators
+def _feed_scalar(predictor_name, records, families=FAMILY_MAKERS):
+    trace = BranchTrace.from_records(records, name="prop")
+    return _feed(predictor_name, trace, records, families)
 
 
-def _assert_equivalent(scalar, vector):
-    s_result, s_events, s_predictor, s_estimators = scalar
-    v_result, v_events, v_predictor, v_estimators = vector
-    assert v_result.branches == s_result.branches
-    assert v_result.mispredictions == s_result.mispredictions
-    for name in s_estimators:
-        assert v_result.quadrants[name] == s_result.quadrants[name], name
-    assert v_events == s_events
+def _feed_vector(predictor_name, records, families=FAMILY_MAKERS):
+    before = REGISTRY.counter_value(VECTOR_BRANCHES_METRIC)
+    fed = _feed(predictor_name, _columnar(records), records, families)
+    # the columnar feed must really have taken the kernels
+    assert REGISTRY.counter_value(VECTOR_BRANCHES_METRIC) - before >= len(records)
+    return fed
+
+
+def _assert_equivalent(records, scalar, vector):
+    s_bank, s_correct, s_high = scalar
+    v_bank, v_correct, v_high = vector
+    assert v_bank.branches == s_bank.branches == len(records)
+    assert v_bank.mispredictions == s_bank.mispredictions
+    assert v_correct.tolist() == s_correct.tolist()
+    assert v_high.shape == s_high.shape == (len(s_bank.estimators), len(records))
+    for row, name in enumerate(s_bank.estimators):
+        assert v_high[row].tolist() == s_high[row].tolist(), name
+        assert v_bank.quadrants[name] == s_bank.quadrants[name], name
     # final state must match too: replay the same stream scalar-ly
     # through both survivors and compare outcomes branch for branch
-    probe = s_events and [(pc, actual) for pc, __, actual, __ in s_events]
-    if probe:
-        s_probe = measure(probe, s_predictor, s_estimators)
-        v_probe = measure(probe, v_predictor, v_estimators)
+    if records:
+        s_probe = measure(records, s_bank.predictor, s_bank.estimators)
+        v_probe = measure(records, v_bank.predictor, v_bank.estimators)
         assert v_probe.mispredictions == s_probe.mispredictions
-        for name in s_estimators:
+        for name in s_bank.estimators:
             assert v_probe.quadrants[name] == s_probe.quadrants[name], name
 
 
@@ -165,8 +156,9 @@ def _assert_equivalent(scalar, vector):
 )
 def test_vector_bank_matches_scalar_bank(predictor_name, records):
     _assert_equivalent(
-        _measure_scalar(predictor_name, records),
-        _measure_vector(predictor_name, records),
+        records,
+        _feed_scalar(predictor_name, records),
+        _feed_vector(predictor_name, records),
     )
 
 
@@ -186,8 +178,9 @@ def test_unkernelized_estimator_falls_back_inside_the_bank(records):
         "distance": FAMILY_MAKERS["distance"],
     }
     _assert_equivalent(
-        _measure_scalar("mcfarling", records, families),
-        _measure_vector("mcfarling", records, families),
+        records,
+        _feed_scalar("mcfarling", records, families),
+        _feed_vector("mcfarling", records, families),
     )
 
 
@@ -206,11 +199,18 @@ def test_unsupported_predictor_rejected_before_consuming_state():
         def resolve(self, pc, taken, prediction):
             return self.inner.resolve(pc, taken, prediction)
 
-    with pytest.raises(UnsupportedVectorization):
-        measure_bank_vectorized(_columnar(records), Wrapper(), {})
-
-    # the public entry point degrades to the scalar loop instead
-    result = measure_bank(_columnar(records), Wrapper(), {})
+    # a columnar trace cannot take the kernels without a predictor
+    # scan: the bank takes the scalar loop over untouched state instead
+    bank = Bank(Wrapper(), {})
+    correct, high = bank.feed(_columnar(records))
     baseline = measure(records, make_predictor("gshare"), {})
+    assert bank.branches == baseline.branches
+    assert bank.mispredictions == baseline.mispredictions
+    assert len(correct) == len(records)
+    assert int(np.count_nonzero(~correct)) == baseline.mispredictions
+    assert high.shape == (0, len(records))
+
+    # and so does the battery's whole-trace entry point
+    result = measure_bank(_columnar(records), Wrapper(), {})
     assert result.branches == baseline.branches
     assert result.mispredictions == baseline.mispredictions
